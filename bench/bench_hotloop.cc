@@ -212,7 +212,7 @@ rssProbeMain(int argc, char **argv)
     const std::vector<core::DynamicConfig> configs{config};
     core::SimContext ctx;
     std::vector<core::DynamicResult> res = vb.chunked
-        ? core::runDynamicSweepStreamed(*vb.chunked, configs, ctx)
+        ? core::runDynamicSweep(*vb.chunked, configs, ctx)
         : core::runDynamicSweep(*vb.view, configs, ctx);
     std::printf("rss_probe %llu %llu %llu\n",
                 static_cast<unsigned long long>(util::peakRssBytes()),
@@ -457,6 +457,8 @@ main(int argc, char **argv)
         }
         pool.wait();
     };
+    sim::ViewBundle view_bundle;
+    view_bundle.view = view;
     auto runFused = [&](unsigned sweep_jobs,
                         std::vector<core::RunResult> *out) {
         out->assign(sweep.size(), core::RunResult{});
@@ -468,7 +470,7 @@ main(int argc, char **argv)
             pool.submit([&, g = std::move(g)] {
                 thread_local core::SimContext ctx;
                 std::vector<core::RunResult> rows =
-                    sim::runGroup(*view, sweep, g, ctx);
+                    sim::runGroup(view_bundle, sweep, g, ctx);
                 for (size_t i = 0; i < g.rows.size(); ++i)
                     (*out)[g.rows[i]] = std::move(rows[i]);
             });
@@ -552,7 +554,9 @@ main(int argc, char **argv)
     double streamed_seconds = 0.0;
     double streamed_flat_bytes = 0.0;
     double streamed_resident_bytes = 0.0;
-    const core::StreamOptions stream_opt = sim::streamOptions();
+    // The decode pipeline runDynamicSweep picks on this host, for the
+    // report.
+    const core::StreamOptions stream_opt;
     size_t stream_cells = 0;
     size_t stream_instr_per_cell = 0;
     size_t stream_lanes = 0;
@@ -634,9 +638,8 @@ main(int argc, char **argv)
         auto streamedPass = [&](std::vector<core::DynamicResult> *out) {
             for (const auto &cv : stream_chunked) {
                 std::vector<core::DynamicResult> swept =
-                    core::runDynamicSweepStreamed(
-                        *cv, stream_configs, stream_ctx,
-                        core::SweepMode::Auto, stream_opt);
+                    core::runDynamicSweep(*cv, stream_configs,
+                                          stream_ctx);
                 if (out)
                     for (core::DynamicResult &r : swept)
                         out->push_back(std::move(r));

@@ -15,6 +15,7 @@
 #include "util/dary_heap.h"
 #include "util/flat_map.h"
 #include "util/simd.h"
+#include "util/sysinfo.h"
 
 namespace dsmem::core {
 
@@ -64,10 +65,11 @@ DynamicProcessor::run(const trace::Trace &trace) const
 }
 
 // ------------------------------------------------------------------
-// The production hot loop over the SoA view. Scheduling decisions are
-// identical to runReference (the equivalence suite drives both on
-// randomized traces); the per-instruction logic lives in Lane::step
-// (core/lane.h), shared verbatim with the fused window sweeps.
+// The production hot loop over the SoA view: a one-lane sweep.
+// Scheduling decisions are identical to runReference (the
+// equivalence suite drives both on randomized traces); the
+// per-instruction logic lives in Lane::step (core/lane.h), shared
+// verbatim by every sweep executor.
 // ------------------------------------------------------------------
 DynamicResult
 DynamicProcessor::run(const trace::TraceView &v) const
@@ -79,13 +81,7 @@ DynamicProcessor::run(const trace::TraceView &v) const
 DynamicResult
 DynamicProcessor::run(const trace::TraceView &v, SimContext &ctx) const
 {
-    Lane lane;
-    lane.bind(config_, ctx.lane(0));
-    const size_t n = v.size();
-    for (size_t i = 0; i < n; ++i)
-        lane.step(v, i);
-    lane.finish();
-    return std::move(lane.r);
+    return std::move(runDynamicSweep(v, {config_}, ctx).front());
 }
 
 // ------------------------------------------------------------------
@@ -99,33 +95,26 @@ DynamicProcessor::run(const trace::TraceView &v, SimContext &ctx) const
 // nothing — each has its own gates, rings, allocators, and predictor
 // — so per-window results are bit-identical to K single-cell runs
 // (enforced by tests/test_executor.cc).
+//
+// Each executor has one body, written over a detail::TraceSource:
+// a flat view is one range, a chunked view one range per decoded
+// tile.
 // ------------------------------------------------------------------
 namespace {
 
 /** Tiled per-lane pass (the always-available executor). */
 std::vector<DynamicResult>
-runTiledSweep(const trace::TraceView &v,
+runTiledSweep(const detail::TraceSource &src,
               const std::vector<DynamicConfig> &configs, SimContext &ctx)
 {
     const size_t k = configs.size();
-    std::vector<DynamicResult> out;
-    out.reserve(k);
-    if (k == 0)
-        return out;
-
     std::vector<Lane> lanes(k);
     for (size_t j = 0; j < k; ++j) {
         validateConfig(configs[j]);
         lanes[j].bind(configs[j], ctx.lane(j));
     }
 
-    const size_t n = v.size();
-    if (k == 1) {
-        // Degenerate sweep: keep the single-lane loop tight.
-        Lane &lane = lanes[0];
-        for (size_t i = 0; i < n; ++i)
-            lane.step(v, i);
-    } else {
+    src.forEachRange(ctx, [&](const auto &v, size_t lo, size_t hi) {
         // Tiled pass: each lane runs a block of instructions before
         // the next lane starts it, so a lane's rings and tables stay
         // L1-resident through the block (stepping lanes interleaved
@@ -133,70 +122,18 @@ runTiledSweep(const trace::TraceView &v,
         // the operand arrays is still served from cache for every
         // lane after the first. Lanes are fully independent, so any
         // interleaving of per-lane step sequences is bit-identical.
+        // A decoded tile (ChunkedView::kChunkInstrs) is one block.
         constexpr size_t kBlock = 8192;
-        for (size_t base = 0; base < n; base += kBlock) {
-            const size_t end = std::min(n, base + kBlock);
-            for (size_t j = 0; j < k; ++j) {
-                Lane &lane = lanes[j];
+        for (size_t base = lo; base < hi; base += kBlock) {
+            const size_t end = std::min(hi, base + kBlock);
+            for (Lane &lane : lanes)
                 for (size_t i = base; i < end; ++i)
                     lane.step(v, i);
-            }
         }
-    }
+    });
 
-    for (Lane &lane : lanes) {
-        lane.finish();
-        out.push_back(std::move(lane.r));
-    }
-    return out;
-}
-
-/** SoL with the best batch type the host can run right now. */
-std::vector<DynamicResult>
-runSolBest(const trace::TraceView &v,
-           const std::vector<DynamicConfig> &configs, SimContext &ctx)
-{
-    if (util::simd::forceScalar() || !detail::solSimdRuntimeOk())
-        return detail::runSolSweepScalar(v, configs, ctx);
-    return detail::runSolSweepSimd(v, configs, ctx);
-}
-
-/**
- * Tiled per-lane pass over a chunk-compressed view: one TileStream
- * tile plays the role of one kBlock block (ChunkedView::kChunkInstrs
- * matches the tiled pass's block size), so the loop structure — each
- * lane steps a whole block before the next lane starts it — carries
- * over unchanged, and any per-lane step interleaving is bit-identical
- * to the flat pass by lane independence.
- */
-std::vector<DynamicResult>
-runTiledSweepStreamed(const trace::ChunkedView &cv,
-                      const std::vector<DynamicConfig> &configs,
-                      SimContext &ctx, const StreamOptions &opt)
-{
-    const size_t k = configs.size();
     std::vector<DynamicResult> out;
     out.reserve(k);
-    if (k == 0)
-        return out;
-
-    std::vector<Lane> lanes(k);
-    for (size_t j = 0; j < k; ++j) {
-        validateConfig(configs[j]);
-        lanes[j].bind(configs[j], ctx.lane(j));
-    }
-
-    detail::TileStream stream(cv, ctx, opt);
-    while (const trace::TraceTile *tile = stream.next()) {
-        const trace::TileSpan span(*tile);
-        const size_t lo = span.lo(), hi = span.hi();
-        for (size_t j = 0; j < k; ++j) {
-            Lane &lane = lanes[j];
-            for (size_t i = lo; i < hi; ++i)
-                lane.step(span, i);
-        }
-    }
-
     for (Lane &lane : lanes) {
         lane.finish();
         out.push_back(std::move(lane.r));
@@ -204,15 +141,29 @@ runTiledSweepStreamed(const trace::ChunkedView &cv,
     return out;
 }
 
-/** Streamed SoL with the best batch type the host can run. */
+/** Dispatch on @p mode; both public entry points land here. */
 std::vector<DynamicResult>
-runSolBestStreamed(const trace::ChunkedView &cv,
-                   const std::vector<DynamicConfig> &configs,
-                   SimContext &ctx, const StreamOptions &opt)
+runSweep(const detail::TraceSource &src,
+         const std::vector<DynamicConfig> &configs, SimContext &ctx,
+         SweepMode mode)
 {
+    if (configs.empty())
+        return {};
+    if (mode == SweepMode::SoL && !solSweepSupported(configs))
+        throw std::invalid_argument(
+            "configs not runnable on the struct-of-lanes path "
+            "(see solSweepSupported)");
+    // Auto: lockstep pays once the per-instruction dispatch is
+    // amortized over at least two lanes; a single lane or an
+    // unsupported config mix takes the tiled pass.
+    const bool sol = mode == SweepMode::SoL ||
+        (mode == SweepMode::Auto && configs.size() >= 2 &&
+         solSweepSupported(configs));
+    if (!sol)
+        return runTiledSweep(src, configs, ctx);
     if (util::simd::forceScalar() || !detail::solSimdRuntimeOk())
-        return detail::runSolSweepScalarStreamed(cv, configs, ctx, opt);
-    return detail::runSolSweepSimdStreamed(cv, configs, ctx, opt);
+        return detail::runSolSweepScalar(src, configs, ctx);
+    return detail::runSolSweepSimd(src, configs, ctx);
 }
 
 } // namespace
@@ -222,76 +173,22 @@ runDynamicSweep(const trace::TraceView &v,
                 const std::vector<DynamicConfig> &configs,
                 SimContext &ctx, SweepMode mode)
 {
-    if (configs.empty())
-        return {};
-    switch (mode) {
-      case SweepMode::PerLaneTiled:
-        return runTiledSweep(v, configs, ctx);
-      case SweepMode::SoL:
-      case SweepMode::SoLScalar:
-        if (!solSweepSupported(configs))
-            throw std::invalid_argument(
-                "configs not runnable on the struct-of-lanes path "
-                "(see solSweepSupported)");
-        if (mode == SweepMode::SoLScalar)
-            return detail::runSolSweepScalar(v, configs, ctx);
-        return runSolBest(v, configs, ctx);
-      case SweepMode::Auto:
-        break;
-    }
-    // Auto: lockstep pays once the per-instruction dispatch is
-    // amortized over at least two lanes; a single lane or an
-    // unsupported config mix takes the tiled pass.
-    if (configs.size() >= 2 && solSweepSupported(configs))
-        return runSolBest(v, configs, ctx);
-    return runTiledSweep(v, configs, ctx);
+    return runSweep(detail::TraceSource(v), configs, ctx, mode);
 }
 
 std::vector<DynamicResult>
-runDynamicSweep(const trace::TraceView &v,
-                const std::vector<DynamicConfig> &configs, SimContext &ctx)
+runDynamicSweep(const trace::ChunkedView &cv,
+                const std::vector<DynamicConfig> &configs,
+                SimContext &ctx, SweepMode mode, const StreamOptions &opt)
 {
-    return runDynamicSweep(v, configs, ctx, SweepMode::Auto);
+    return runSweep(detail::TraceSource(cv, opt), configs, ctx, mode);
 }
 
-std::vector<DynamicResult>
-runDynamicSweepStreamed(const trace::ChunkedView &cv,
-                        const std::vector<DynamicConfig> &configs,
-                        SimContext &ctx, SweepMode mode,
-                        const StreamOptions &opt)
+int
+hostDecodeThreads()
 {
-    if (configs.empty())
-        return {};
-    switch (mode) {
-      case SweepMode::PerLaneTiled:
-        return runTiledSweepStreamed(cv, configs, ctx, opt);
-      case SweepMode::SoL:
-      case SweepMode::SoLScalar:
-        if (!solSweepSupported(configs))
-            throw std::invalid_argument(
-                "configs not runnable on the struct-of-lanes path "
-                "(see solSweepSupported)");
-        if (mode == SweepMode::SoLScalar)
-            return detail::runSolSweepScalarStreamed(cv, configs, ctx,
-                                                     opt);
-        return runSolBestStreamed(cv, configs, ctx, opt);
-      case SweepMode::Auto:
-        break;
-    }
-    // Same Auto policy as the flat dispatch: lockstep pays once the
-    // per-instruction dispatch is amortized over at least two lanes.
-    if (configs.size() >= 2 && solSweepSupported(configs))
-        return runSolBestStreamed(cv, configs, ctx, opt);
-    return runTiledSweepStreamed(cv, configs, ctx, opt);
-}
-
-std::vector<DynamicResult>
-runDynamicSweepStreamed(const trace::ChunkedView &cv,
-                        const std::vector<DynamicConfig> &configs,
-                        SimContext &ctx)
-{
-    return runDynamicSweepStreamed(cv, configs, ctx, SweepMode::Auto,
-                                   StreamOptions{});
+    static const int threads = util::hostCores() > 1 ? 1 : 0;
+    return threads;
 }
 
 // ------------------------------------------------------------------

@@ -179,10 +179,11 @@ class DynamicProcessor
     DynamicResult run(const trace::TraceView &v) const;
 
     /**
-     * run() with recycled storage: borrows lane 0 of @p ctx instead
-     * of constructing fresh containers. Results are bit-identical to
-     * run(v) regardless of what the context served before (container
-     * capacity never affects timing — see SimContext).
+     * run() with recycled storage: a one-lane runDynamicSweep, so it
+     * borrows lane 0 of @p ctx instead of constructing fresh
+     * containers. Results are bit-identical to run(v) regardless of
+     * what the context served before (container capacity never
+     * affects timing — see SimContext).
      */
     DynamicResult run(const trace::TraceView &v, SimContext &ctx) const;
 
@@ -221,18 +222,23 @@ class DynamicProcessor
 /** Executor strategy for runDynamicSweep. */
 enum class SweepMode {
     /**
-     * Struct-of-lanes when every config qualifies
-     * (solSweepSupported) and SIMD is not disabled at runtime
-     * (util::simd::forceScalar / DSMEM_SIMD=scalar); the per-lane
-     * tiled pass otherwise.
+     * Struct-of-lanes when there are at least two lanes and every
+     * config qualifies (solSweepSupported); the per-lane tiled pass
+     * otherwise (one lane, or a divergent config mix). Within the
+     * struct-of-lanes pass the batch type is picked at run time: the
+     * configure-time SIMD ISA, or the scalar batch when SIMD is
+     * disabled (util::simd::forceScalar / DSMEM_SIMD=scalar) or the
+     * CPU lacks the ISA.
      */
     Auto,
     /** The per-lane tiled pass (always available, any config mix). */
     PerLaneTiled,
-    /** Struct-of-lanes lockstep with the configure-time SIMD ISA. */
+    /**
+     * Struct-of-lanes lockstep at any lane count, with the same
+     * run-time batch choice as Auto. Throws std::invalid_argument
+     * unless solSweepSupported(configs).
+     */
     SoL,
-    /** Struct-of-lanes lockstep forced onto the scalar batch type. */
-    SoLScalar,
 };
 
 /**
@@ -265,7 +271,8 @@ const char *solActiveIsaName();
  * instruction. The k-th result is bit-identical to
  * DynamicProcessor(configs[k]).run(v); the win is that the SoA operand
  * arrays stream through the cache once instead of configs.size()
- * times. Lane k borrows ctx.lane(k).
+ * times. Lane k borrows ctx.lane(k). A single cell is the one-lane
+ * case (DynamicProcessor::run is exactly that).
  *
  * @p mode selects the executor. The struct-of-lanes path advances all
  * lanes in lockstep over each instruction with the rolling scalars in
@@ -276,55 +283,43 @@ const char *solActiveIsaName();
  */
 std::vector<DynamicResult> runDynamicSweep(
     const trace::TraceView &v, const std::vector<DynamicConfig> &configs,
-    SimContext &ctx, SweepMode mode);
+    SimContext &ctx, SweepMode mode = SweepMode::Auto);
 
-/** runDynamicSweep with SweepMode::Auto. */
-std::vector<DynamicResult> runDynamicSweep(
-    const trace::TraceView &v, const std::vector<DynamicConfig> &configs,
-    SimContext &ctx);
+/**
+ * Decode-ahead threads a streamed sweep uses on this host: 1 when it
+ * has a core to spare (the next tile decodes while the sweep computes
+ * the current one), 0 — inline decode on the sweep thread — on a
+ * single-core host, where a decoder thread would only time-slice
+ * against the sweep.
+ */
+int hostDecodeThreads();
 
-/** Decode-ahead pipeline knobs for the streaming executors. */
+/** Decode pipeline of a streamed sweep. */
 struct StreamOptions {
     /**
-     * 0 = decode tiles inline on the sweep thread (no thread spawned;
-     * right on single-core hosts, where the win is the traffic cut
-     * alone); 1 = one decode-ahead thread that keeps the tile ring
-     * filled while the sweep computes, hiding decode latency behind
-     * compute. Values > 1 behave as 1 (decode is sequential by
-     * construction: each section is one delta chain).
+     * 0 = decode tiles inline on the sweep thread; 1 = one
+     * decode-ahead thread over a 3-tile ring. Values > 1 behave as 1
+     * (decode is sequential by construction: each section is one
+     * delta chain). Defaults to the host's choice; tests pin it to
+     * cover both pipelines.
      */
-    int decode_threads = 0;
-
-    /** Tiles in the recycled ring (threaded mode needs >= 3: one
-     *  being computed, one decoded ahead, one being written). */
-    size_t ring_tiles = 3;
+    int decode_threads = hostDecodeThreads();
 };
 
 /**
- * Fused window sweep over a chunk-compressed trace: identical
- * semantics and bit-identical per-cell results to
- * runDynamicSweep(v, ...) on the flattened view — enforced by
- * tests/test_executor.cc — but the trace stays compressed-resident
+ * The same fused window sweep over a chunk-compressed trace: one
+ * executor body with the flat overload, fed one decoded tile at a
+ * time instead of one flat range. The trace stays compressed-resident
  * (ChunkedView, ~4-8 B/instr) and is decoded chunk by chunk into an
- * L2-resident tile ring that the sweep consumes in order, optionally
- * with a decode-ahead thread (see StreamOptions). For sweeps whose
- * flat view exceeds the LLC this trades the full-view memory stream
- * for a cache-resident one; sim::sweepModeFor picks it automatically
- * for such cells (--stream-exec).
- *
- * SweepMode::Auto maps to the streaming SoL pass when the configs
- * support it and to the streaming tiled pass otherwise; explicit
- * SoL/SoLScalar/PerLaneTiled select the matching streamed executor.
+ * L2-resident tile ring (see StreamOptions), so for sweeps whose flat
+ * view exceeds the LLC the full-view memory stream becomes a
+ * cache-resident one. Results are bit-identical to runDynamicSweep on
+ * the flattened view, in every mode (tests/test_executor.cc).
  */
-std::vector<DynamicResult> runDynamicSweepStreamed(
+std::vector<DynamicResult> runDynamicSweep(
     const trace::ChunkedView &cv,
     const std::vector<DynamicConfig> &configs, SimContext &ctx,
-    SweepMode mode, const StreamOptions &opt);
-
-/** runDynamicSweepStreamed with SweepMode::Auto, default options. */
-std::vector<DynamicResult> runDynamicSweepStreamed(
-    const trace::ChunkedView &cv,
-    const std::vector<DynamicConfig> &configs, SimContext &ctx);
+    SweepMode mode = SweepMode::Auto, const StreamOptions &opt = {});
 
 } // namespace dsmem::core
 

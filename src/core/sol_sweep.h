@@ -5,7 +5,6 @@
 
 #include "core/dynamic_processor.h"
 #include "core/sim_context.h"
-#include "trace/trace_view.h"
 
 // ------------------------------------------------------------------
 // Internal entry points of the struct-of-lanes sweep executor. The
@@ -17,15 +16,13 @@
 // them; it must not call runSolSweepSimd unless solSimdRuntimeOk().
 // ------------------------------------------------------------------
 
-namespace dsmem::trace {
-class ChunkedView;
-}
-
 namespace dsmem::core::detail {
+
+class TraceSource;
 
 /** Struct-of-lanes sweep, scalar batch type (always safe to call). */
 std::vector<DynamicResult> runSolSweepScalar(
-    const trace::TraceView &v, const std::vector<DynamicConfig> &configs,
+    const TraceSource &src, const std::vector<DynamicConfig> &configs,
     SimContext &ctx);
 
 /**
@@ -34,24 +31,8 @@ std::vector<DynamicResult> runSolSweepScalar(
  * must check solSimdRuntimeOk() first on hosts that may lack it.
  */
 std::vector<DynamicResult> runSolSweepSimd(
-    const trace::TraceView &v, const std::vector<DynamicConfig> &configs,
+    const TraceSource &src, const std::vector<DynamicConfig> &configs,
     SimContext &ctx);
-
-/**
- * Streaming variants: the same lockstep pass fed tile by tile from a
- * chunk-compressed view through a decode-ahead TileStream instead of
- * a flat SoA pass. Bit-identical to the flat variants (the sweep
- * state is range-agnostic — see core/sol_sweep_impl.h). Same ISA
- * contract: the Simd entry requires solSimdRuntimeOk().
- */
-std::vector<DynamicResult> runSolSweepScalarStreamed(
-    const trace::ChunkedView &cv,
-    const std::vector<DynamicConfig> &configs, SimContext &ctx,
-    const StreamOptions &opt);
-std::vector<DynamicResult> runSolSweepSimdStreamed(
-    const trace::ChunkedView &cv,
-    const std::vector<DynamicConfig> &configs, SimContext &ctx,
-    const StreamOptions &opt);
 
 /** True when the running CPU supports the configure-time SIMD ISA
  *  (always true for the NEON and scalar builds). Defined in the

@@ -63,12 +63,11 @@
 //
 // The pass is packaged as SolSweepState — init() binds the lanes and
 // carves the scratch arrays, runRange() advances every lane over one
-// contiguous global index range, finish() harvests the results — so
-// the same instantiated code serves two drivers. The flat driver
-// (runSolSweepImpl) is a single runRange(view, 0, n). The streaming
-// driver (runSolSweepStreamedImpl) pulls decoded TraceTiles off a
-// TileStream and calls runRange once per tile through a TileSpan:
-// the lockstep phases read the view only at the current index, and
+// contiguous global index range, finish() harvests the results — and
+// driven once per range of a TraceSource (core/tile_stream.h): a flat
+// view is the single runRange(view, 0, n); a chunked view calls
+// runRange once per decoded tile through a TileSpan. The lockstep
+// phases read the view only at the current index, and
 // every piece of cross-instruction state lives in this object, so
 // splitting the trace at arbitrary tile boundaries cannot change a
 // single scheduling decision — streamed results are bit-identical to
@@ -171,9 +170,9 @@ class SolSweepState
 
     /**
      * Advance every lane over global indices [@p lo, @p hi). @p v is
-     * a flat trace::TraceView (flat driver: one call over [0, n)) or
-     * a trace::TileSpan (streaming driver: one call per decoded tile,
-     * in order, contiguous). The first call must start at lo == 0 —
+     * a flat trace::TraceView (one call over [0, n)) or a
+     * trace::TileSpan (one call per decoded tile, in order,
+     * contiguous). The first call must start at lo == 0 —
      * instruction 0 is peeled through the fallback there.
      */
     template <typename V>
@@ -611,39 +610,23 @@ class SolSweepState
     bool first = true;
 };
 
-/** Flat driver: one lockstep pass over the whole view. */
+/**
+ * Run runRange once per range of @p src — the whole view
+ * for a flat source, one decoded tile at a time for a chunked one
+ * (the trace then never exists flat: resident footprint is the
+ * compressed ChunkedView plus the tile ring).
+ */
 template <typename Batch>
 std::vector<DynamicResult>
-runSolSweepImpl(const trace::TraceView &v,
+runSolSweepImpl(const TraceSource &src,
                 const std::vector<DynamicConfig> &configs,
                 SimContext &ctx)
 {
     SolSweepState<Batch> state;
     state.init(configs, ctx);
-    state.runRange(v, 0, v.size());
-    return state.finish();
-}
-
-/**
- * Streaming driver: pull decoded tiles off a decode-ahead TileStream
- * and run the same lockstep pass tile by tile. The trace never exists
- * flat — resident footprint is the compressed ChunkedView plus the
- * tile ring — and results are bit-identical to the flat driver (all
- * cross-instruction state lives in SolSweepState).
- */
-template <typename Batch>
-std::vector<DynamicResult>
-runSolSweepStreamedImpl(const trace::ChunkedView &cv,
-                        const std::vector<DynamicConfig> &configs,
-                        SimContext &ctx, const StreamOptions &opt)
-{
-    SolSweepState<Batch> state;
-    state.init(configs, ctx);
-    TileStream stream(cv, ctx, opt);
-    while (const trace::TraceTile *tile = stream.next()) {
-        trace::TileSpan span(*tile);
-        state.runRange(span, span.lo(), span.hi());
-    }
+    src.forEachRange(ctx, [&](const auto &v, size_t lo, size_t hi) {
+        state.runRange(v, lo, hi);
+    });
     return state.finish();
 }
 

@@ -11,9 +11,9 @@
 #include "trace/chunked_view.h"
 
 // ------------------------------------------------------------------
-// Internal header: the decode-ahead pipeline between a compressed
-// ChunkedView and the streaming sweep executors. Not part of the
-// public API.
+// Internal header: the trace sources the sweep executors run over — a
+// flat TraceView, or a compressed ChunkedView fed through the
+// decode-ahead TileStream. Not part of the public API.
 // ------------------------------------------------------------------
 
 namespace dsmem::core::detail {
@@ -25,19 +25,21 @@ namespace dsmem::core::detail {
  * of many streamed cells allocates the ring once). A tile returned by
  * next() stays valid until the following next() call.
  *
- * Two modes, selected by StreamOptions::decode_threads:
+ * Two modes, selected by StreamOptions::decode_threads (the host
+ * picks — see hostDecodeThreads):
  *
- *  - 0 (inline): next() decodes the chunk on the caller's thread.
- *    There is no decode/compute overlap, but the working set is one
- *    L2-resident tile instead of the whole flat trace — on a
- *    memory-bound sweep that traffic cut is the win, and it is the
- *    right default on single-core hosts where a decoder thread would
- *    just time-slice against the sweep.
+ *  - 0 (inline): next() decodes the chunk on the caller's thread into
+ *    a single recycled tile. There is no decode/compute overlap, but
+ *    the working set is one L2-resident tile instead of the whole
+ *    flat trace — on a memory-bound sweep that traffic cut is the
+ *    win, and it is the right choice on single-core hosts where a
+ *    decoder thread would just time-slice against the sweep.
  *
  *  - 1 (decode-ahead thread): a single producer thread decodes up to
- *    ring_tiles - 1 chunks ahead into the ring while the caller's
- *    sweep computes the current tile, hiding the decode latency
- *    entirely when compute per tile exceeds decode per tile. Classic
+ *    two chunks ahead into a 3-tile ring (one being computed, one
+ *    decoded ahead, one being written) while the caller's sweep
+ *    computes the current tile, hiding the decode latency entirely
+ *    when compute per tile exceeds decode per tile. Classic
  *    bounded single-producer/single-consumer handoff: all indices are
  *    exchanged under one mutex (TSan-clean), and a slot is never
  *    rewritten until the consumer has moved past it.
@@ -54,9 +56,9 @@ class TileStream
         : cv_(cv), ring_(ctx.tileScratch().tiles),
           threaded_(opt.decode_threads > 0 && cv.chunkCount() > 1)
     {
-        const size_t min_ring = threaded_ ? 3 : 1;
-        if (ring_.size() < std::max(opt.ring_tiles, min_ring))
-            ring_.resize(std::max(opt.ring_tiles, min_ring));
+        const size_t ring = threaded_ ? kThreadedRing : 1;
+        if (ring_.size() < ring)
+            ring_.resize(ring);
         if (threaded_)
             producer_ = std::thread([this] { produce(); });
     }
@@ -82,7 +84,7 @@ class TileStream
         if (!threaded_) {
             if (handed_ >= cv_.chunkCount())
                 return nullptr;
-            trace::TraceTile &t = ring_[handed_ % ring_.size()];
+            trace::TraceTile &t = ring_[0];
             cv_.decodeChunk(handed_, t);
             ++handed_;
             return &t;
@@ -103,25 +105,29 @@ class TileStream
                       [this] { return produced_ > handed_ || err_; });
         if (err_)
             std::rethrow_exception(err_);
-        return &ring_[handed_++ % ring_.size()];
+        return &ring_[handed_++ % kThreadedRing];
     }
 
   private:
+    /** Threaded ring: one tile computed, one decoded ahead, one being
+     *  written. */
+    static constexpr size_t kThreadedRing = 3;
+
     void produce()
     {
         const size_t chunks = cv_.chunkCount();
-        const size_t ring = ring_.size();
         try {
             for (size_t c = 0; c < chunks; ++c) {
                 {
                     std::unique_lock<std::mutex> lock(mu_);
                     cv_slot_.wait(lock, [&] {
-                        return produced_ - consumed_ < ring || stop_;
+                        return produced_ - consumed_ < kThreadedRing ||
+                            stop_;
                     });
                     if (stop_)
                         return;
                 }
-                cv_.decodeChunk(c, ring_[c % ring]);
+                cv_.decodeChunk(c, ring_[c % kThreadedRing]);
                 {
                     std::lock_guard<std::mutex> lock(mu_);
                     ++produced_;
@@ -150,6 +156,47 @@ class TileStream
     bool stop_ = false;
     std::exception_ptr err_;
     std::thread producer_;
+};
+
+/**
+ * The trace a sweep executor runs over, as an in-order sequence of
+ * contiguous global index ranges: a flat TraceView is the single
+ * range [0, n); a ChunkedView is one range per decoded tile, pulled
+ * off a TileStream. forEachRange(ctx, f) calls f(view, lo, hi) per
+ * range, where view is a trace::TraceView or a trace::TileSpan — both
+ * expose the accessor interface Lane::step and SolSweepState::runRange
+ * are templated on, so each executor has exactly one body for both
+ * residencies, and streamed results are bit-identical to flat ones by
+ * construction (every piece of cross-instruction state lives in the
+ * lanes, never in the view).
+ */
+class TraceSource
+{
+  public:
+    explicit TraceSource(const trace::TraceView &v) : flat_(&v) {}
+    TraceSource(const trace::ChunkedView &cv, const StreamOptions &opt)
+        : chunked_(&cv), opt_(opt)
+    {
+    }
+
+    template <typename F>
+    void forEachRange(SimContext &ctx, F &&f) const
+    {
+        if (flat_ != nullptr) {
+            f(*flat_, size_t{0}, flat_->size());
+            return;
+        }
+        TileStream stream(*chunked_, ctx, opt_);
+        while (const trace::TraceTile *tile = stream.next()) {
+            const trace::TileSpan span(*tile);
+            f(span, span.lo(), span.hi());
+        }
+    }
+
+  private:
+    const trace::TraceView *flat_ = nullptr;
+    const trace::ChunkedView *chunked_ = nullptr;
+    StreamOptions opt_;
 };
 
 } // namespace dsmem::core::detail

@@ -85,9 +85,9 @@ struct RunnerOptions {
      * Streaming-executor residency policy (sim/stream_exec.h): when
      * the store loads a bundle whose flat view would spill the LLC
      * (Auto) or always (On), the trace stays chunk-compressed and
-     * phase-2 DS sweeps stream decode-ahead tiles out of it instead
-     * of a flat SoA pass — same results, a fraction of the resident
-     * bytes. Off restores the unconditional flat view. The default
+     * phase-2 DS rows run core::runDynamicSweep over its decoded
+     * tiles instead of a flat SoA pass — same executors, same
+     * results, a fraction of the resident bytes. Off restores the unconditional flat view. The default
      * honors DSMEM_STREAM_EXEC; CLI --stream-exec overrides it.
      */
     sim::StreamExec stream_exec = sim::streamExecFromEnv();

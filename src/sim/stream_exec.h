@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <string>
 
-#include "core/dynamic_processor.h"
-
 // ------------------------------------------------------------------
 // Streaming-executor policy: when should a trace stay resident in its
 // chunk-compressed form (trace::ChunkedView, decoded tile by tile
@@ -60,14 +58,6 @@ size_t streamThresholdBytes();
  * exact per-entry cost of the flat SoA columns.
  */
 bool shouldStream(size_t instructions, StreamExec mode);
-
-/**
- * Tile-ring and decode-thread shape for this host: one decode-ahead
- * thread when the host has cores to spare (compute overlaps the next
- * tile's decode), inline decode on single-core hosts where a second
- * thread would only add contention.
- */
-core::StreamOptions streamOptions();
 
 } // namespace dsmem::sim
 

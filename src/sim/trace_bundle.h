@@ -72,15 +72,21 @@ struct ViewBundle {
         return chunked ? chunked->flatten() : nullptr;
     }
 
-    /** Bytes the resident trace form occupies (flat or compressed). */
+    /**
+     * Bytes the resident trace forms occupy: the flat view, the
+     * compressed form, or both once flatView() has memoized the flat
+     * view of a chunked bundle.
+     */
     size_t traceBytesResident() const
     {
-        if (chunked)
-            return chunked->bytesResident();
-        return view ? static_cast<size_t>(
-                          static_cast<double>(view->size()) *
-                          trace::TraceView::bytesPerInstr())
-                    : 0;
+        const std::shared_ptr<const trace::TraceView> flat =
+            chunked ? chunked->flattened() : view;
+        size_t bytes = chunked ? chunked->bytesResident() : 0;
+        if (flat)
+            bytes += static_cast<size_t>(
+                static_cast<double>(flat->size()) *
+                trace::TraceView::bytesPerInstr());
+        return bytes;
     }
 };
 
@@ -93,7 +99,7 @@ ViewBundle makeViewBundle(const TraceBundle &bundle);
  * streaming is forced on), the result carries the chunk-compressed
  * form instead of the flat SoA — the same decision loadBundleView
  * makes on the disk path, applied to in-memory generation so
- * DSMEM_STREAM_EXEC=on exercises the streaming executors even in
+ * DSMEM_STREAM_EXEC=on exercises the chunked sweeps even in
  * storeless runs.
  */
 ViewBundle makeViewBundle(const TraceBundle &bundle, StreamExec mode);

@@ -381,4 +381,11 @@ ChunkedView::flatten() const
     return flat_;
 }
 
+std::shared_ptr<const TraceView>
+ChunkedView::flattened() const
+{
+    std::lock_guard<std::mutex> lock(flat_mu_);
+    return flat_;
+}
+
 } // namespace dsmem::trace

@@ -18,7 +18,7 @@ namespace dsmem::trace {
 
 /**
  * Decoded structure-of-arrays tile of one ChunkedView chunk — the
- * unit the streaming executors consume. Same columns as TraceView
+ * unit a sweep over a ChunkedView consumes. Same columns as TraceView
  * minus first_use (a forward reference no sequential decode can
  * know); sized for L2 residency at ChunkedView::kChunkInstrs.
  * Vectors grow monotonically across decodes, so a recycled tile ring
@@ -101,8 +101,10 @@ class TileSpan
  * tiles. Resident footprint is ~4-8 bytes per instruction against the
  * flat view's 32 (TraceView::bytesPerInstr()), so a campaign worker
  * holding a multi-GB trace keeps only the compressed form plus an
- * L2-sized tile ring resident — the streaming executors in src/core/
- * then overlap each tile's decode with the previous tile's compute.
+ * L2-sized tile ring resident. core::runDynamicSweep runs its
+ * executors over the view one decoded tile at a time — the same
+ * executor bodies as over a flat view — with a decode-ahead thread
+ * overlapping the next tile's decode on multi-core hosts.
  *
  * A per-chunk directory stores each section's byte offset plus the
  * address/latency delta accumulators entering the chunk, so chunks
@@ -164,10 +166,14 @@ class ChunkedView
     /**
      * The flat TraceView of the same trace, materialized on first use
      * and cached (thread-safe). Consumers needing random access or
-     * the first_use column (SS model, sampled runs) land here; the
-     * streaming sweep paths never do.
+     * the first_use column (SS model, sampled runs) land here; DS
+     * sweeps never do.
      */
     std::shared_ptr<const TraceView> flatten() const;
+
+    /** The view flatten() has cached, or null if it has not run yet
+     *  (never materializes — for residency accounting). */
+    std::shared_ptr<const TraceView> flattened() const;
 
   private:
     /** Per-chunk section offsets + delta accumulator seeds. */

@@ -123,27 +123,100 @@ variantConfigs()
     return configs;
 }
 
+// --- Trace sources -------------------------------------------------
+
+/**
+ * The residencies every sweep test runs over: the flat view, and its
+ * chunk-compressed form decoded inline on the sweep thread and by the
+ * decode-ahead thread. One executor body serves all three, so their
+ * results must be bit-identical.
+ */
+enum class Source { Flat, ChunkedInline, ChunkedThreaded };
+constexpr Source kSources[] = {Source::Flat, Source::ChunkedInline,
+                               Source::ChunkedThreaded};
+
+std::string
+sourceName(Source src)
+{
+    switch (src) {
+      case Source::Flat:
+        return "flat";
+      case Source::ChunkedInline:
+        return "chunked-inline";
+      case Source::ChunkedThreaded:
+        break;
+    }
+    return "chunked-threaded";
+}
+
+/**
+ * A multi-chunk random trace in both resident forms: chunked sweeps
+ * must cross tile boundaries mid-window, not just run inside one
+ * tile.
+ */
+struct TwoForms {
+    explicit TwoForms(uint64_t seed)
+        : view(testing::randomTrace(
+              seed, 2 * trace::ChunkedView::kChunkInstrs + 1234)),
+          cv(view)
+    {
+    }
+
+    std::vector<DynamicResult>
+    sweep(Source src, const std::vector<DynamicConfig> &configs,
+          SimContext &ctx,
+          core::SweepMode mode = core::SweepMode::Auto) const
+    {
+        if (src == Source::Flat)
+            return core::runDynamicSweep(view, configs, ctx, mode);
+        core::StreamOptions opt;
+        opt.decode_threads = src == Source::ChunkedThreaded ? 1 : 0;
+        return core::runDynamicSweep(cv, configs, ctx, mode, opt);
+    }
+
+    std::vector<DynamicResult>
+    single(const std::vector<DynamicConfig> &configs) const
+    {
+        std::vector<DynamicResult> out;
+        for (const DynamicConfig &cfg : configs)
+            out.push_back(DynamicProcessor(cfg).run(view));
+        return out;
+    }
+
+    trace::TraceView view;
+    trace::ChunkedView cv;
+};
+
 // --- Fused sweep is bit-identical to single-cell runs ---------------
 
+/**
+ * Every config variant — all four models, mixed windows, MSHR limits,
+ * SC speculation, the read-delay collector — must produce the same
+ * bits through a fused sweep as through single-cell runs, from every
+ * trace source.
+ */
 TEST(Executor, FusedSweepMatchesSingleCellRuns)
 {
-    for (uint64_t seed : {1u, 7u, 42u}) {
-        trace::TraceView view(testing::randomTrace(seed, 4000));
+    for (uint64_t seed : {1u, 7u, 42u, 61u}) {
+        TwoForms t(seed);
         std::vector<DynamicConfig> configs = variantConfigs();
-
-        std::vector<DynamicResult> single;
-        for (const DynamicConfig &cfg : configs)
-            single.push_back(DynamicProcessor(cfg).run(view));
+        std::vector<DynamicResult> single = t.single(configs);
 
         SimContext ctx;
-        std::vector<DynamicResult> fused =
-            core::runDynamicSweep(view, configs, ctx);
-
-        ASSERT_EQ(fused.size(), single.size());
-        for (size_t i = 0; i < fused.size(); ++i) {
-            SCOPED_TRACE("seed " + std::to_string(seed) + " config " +
-                         std::to_string(i));
-            expectSameDynamicResult(fused[i], single[i]);
+        for (Source src : kSources) {
+            for (core::SweepMode mode :
+                 {core::SweepMode::Auto, core::SweepMode::PerLaneTiled}) {
+                std::vector<DynamicResult> fused =
+                    t.sweep(src, configs, ctx, mode);
+                ASSERT_EQ(fused.size(), single.size());
+                for (size_t i = 0; i < fused.size(); ++i) {
+                    SCOPED_TRACE("seed " + std::to_string(seed) + " " +
+                                 sourceName(src) + " mode " +
+                                 std::to_string(int(mode)) +
+                                 " config " + std::to_string(i));
+                    expectSameDynamicResult(fused[i], single[i]);
+                }
+            }
         }
     }
 }
@@ -296,23 +369,72 @@ TEST(Executor, AdaptiveLaneCap)
 
 // --- runGroup delegates to the same paths ---------------------------
 
+/** A flat bundle and its chunk-resident twin over one trace. */
+struct BundlePair {
+    explicit BundlePair(uint64_t seed)
+    {
+        trace::Trace raw = testing::randomTrace(
+            seed, 2 * trace::ChunkedView::kChunkInstrs + 555);
+        flat.view = trace::TraceView::build(raw);
+        flat.stats = trace::computeStats(raw);
+        flat.verified = true;
+        chunked = flat;
+        chunked.view.reset();
+        chunked.chunked =
+            std::make_shared<trace::ChunkedView>(*flat.view);
+    }
+
+    sim::ViewBundle flat;
+    sim::ViewBundle chunked;
+};
+
+/**
+ * runGroup must reproduce per-row runModel for every planned group,
+ * from a flat bundle and from a chunk-resident one: fused DS sweeps
+ * and DS singletons sweep the resident form, non-DS rows (which need
+ * first_use random access) run against the memoized flatten.
+ */
 TEST(Executor, RunGroupMatchesPerRowRunModel)
 {
-    trace::TraceView view(testing::randomTrace(11, 3000));
+    BundlePair b(79);
+    EXPECT_LT(b.chunked.traceBytesResident(),
+              b.flat.traceBytesResident() / 2);
+
     std::vector<ModelSpec> specs = combinedSpecs();
     std::vector<uint8_t> done(specs.size(), 0);
-
-    SimContext ctx;
-    for (const ExecGroup &g : sim::planPhase2(specs, done, 0)) {
-        std::vector<RunResult> rows = sim::runGroup(view, specs, g, ctx);
-        ASSERT_EQ(rows.size(), g.rows.size());
-        for (size_t i = 0; i < g.rows.size(); ++i) {
-            SCOPED_TRACE(specs[g.rows[i]].label());
-            SimContext fresh;
-            EXPECT_EQ(rows[i],
-                      sim::runModel(view, specs[g.rows[i]], fresh));
+    for (const sim::ViewBundle *vb : {&b.flat, &b.chunked}) {
+        const std::string form = vb->chunked ? "chunked" : "flat";
+        for (size_t cap : {size_t{0}, size_t{1}, size_t{3}}) {
+            SimContext ctx;
+            for (const ExecGroup &g : sim::planPhase2(specs, done, cap)) {
+                std::vector<RunResult> rows =
+                    sim::runGroup(*vb, specs, g, ctx);
+                ASSERT_EQ(rows.size(), g.rows.size());
+                for (size_t i = 0; i < g.rows.size(); ++i) {
+                    SCOPED_TRACE(form + " cap " + std::to_string(cap) +
+                                 " " + specs[g.rows[i]].label());
+                    SimContext fresh;
+                    EXPECT_EQ(rows[i], sim::runModel(*b.flat.view,
+                                                     specs[g.rows[i]],
+                                                     fresh));
+                }
+            }
         }
     }
+}
+
+/** Once a chunked bundle's flat view is memoized, both forms are
+ *  resident and the residency report counts both. */
+TEST(Executor, ChunkedBundleCountsMemoizedFlatView)
+{
+    BundlePair b(83);
+    const size_t flat_bytes = b.flat.traceBytesResident();
+    const size_t compressed = b.chunked.traceBytesResident();
+    EXPECT_LT(compressed, flat_bytes);
+    ASSERT_NE(b.chunked.flatView(), nullptr);
+    EXPECT_GE(b.chunked.traceBytesResident(), flat_bytes);
+    EXPECT_EQ(b.chunked.traceBytesResident(), flat_bytes + compressed);
+    EXPECT_EQ(b.flat.traceBytesResident(), flat_bytes);
 }
 
 // --- End to end: campaign results are fuse-invariant ----------------
@@ -365,17 +487,47 @@ solFamily(size_t k, ConsistencyModel m, uint32_t width)
     return configs;
 }
 
+/** The executors a test sweeps through: each SweepMode, plus SoL
+ *  with the scalar batch forced at run time. */
+enum class Exec { SoL, SoLForcedScalar, PerLaneTiled, Auto };
+constexpr Exec kExecs[] = {Exec::SoL, Exec::SoLForcedScalar,
+                           Exec::PerLaneTiled, Exec::Auto};
+
+std::vector<DynamicResult>
+sweepWith(const TwoForms &t, Source src, Exec exec,
+          const std::vector<DynamicConfig> &configs, SimContext &ctx)
+{
+    switch (exec) {
+      case Exec::SoL:
+        return t.sweep(src, configs, ctx, core::SweepMode::SoL);
+      case Exec::SoLForcedScalar: {
+        const bool was_forced = util::simd::forceScalar();
+        util::simd::setForceScalar(true);
+        std::vector<DynamicResult> out =
+            t.sweep(src, configs, ctx, core::SweepMode::SoL);
+        util::simd::setForceScalar(was_forced);
+        return out;
+      }
+      case Exec::PerLaneTiled:
+        return t.sweep(src, configs, ctx,
+                       core::SweepMode::PerLaneTiled);
+      case Exec::Auto:
+        break;
+    }
+    return t.sweep(src, configs, ctx, core::SweepMode::Auto);
+}
+
 /**
  * Every SoL mode must be bit-identical to per-cell runs, for every
  * lane-count tail against the 4-wide batch (k = 1..5, 8), both
- * narrow and multi-issue widths, and models with and without active
- * consistency gates. The random trace carries sync ops (per-lane
- * fallback), branch mispredict squashes, store forwarding, and read
- * misses mid-block.
+ * narrow and multi-issue widths, models with and without active
+ * consistency gates, and every trace source. The random trace
+ * carries sync ops (per-lane fallback), branch mispredict squashes,
+ * store forwarding, and read misses mid-block.
  */
 TEST(Executor, SolSweepAllModesMatchPerCellRuns)
 {
-    trace::TraceView view(testing::randomTrace(21, 4000));
+    TwoForms t(21);
     for (ConsistencyModel m :
          {ConsistencyModel::SC, ConsistencyModel::RC}) {
         for (uint32_t width : {1u, 4u}) {
@@ -384,27 +536,25 @@ TEST(Executor, SolSweepAllModesMatchPerCellRuns)
                 std::vector<DynamicConfig> configs =
                     solFamily(k, m, width);
                 ASSERT_TRUE(core::solSweepSupported(configs));
-
-                std::vector<DynamicResult> single;
-                for (const DynamicConfig &cfg : configs)
-                    single.push_back(DynamicProcessor(cfg).run(view));
+                std::vector<DynamicResult> single = t.single(configs);
 
                 SimContext ctx;
-                for (core::SweepMode mode :
-                     {core::SweepMode::SoL, core::SweepMode::SoLScalar,
-                      core::SweepMode::PerLaneTiled,
-                      core::SweepMode::Auto}) {
-                    std::vector<DynamicResult> swept =
-                        core::runDynamicSweep(view, configs, ctx, mode);
-                    ASSERT_EQ(swept.size(), single.size());
-                    for (size_t i = 0; i < swept.size(); ++i) {
-                        SCOPED_TRACE(
-                            "model " + std::to_string(int(m)) +
-                            " width " + std::to_string(width) + " k " +
-                            std::to_string(k) + " mode " +
-                            std::to_string(int(mode)) + " lane " +
-                            std::to_string(i));
-                        expectSameDynamicResult(swept[i], single[i]);
+                for (Source src : kSources) {
+                    for (Exec exec : kExecs) {
+                        std::vector<DynamicResult> swept =
+                            sweepWith(t, src, exec, configs, ctx);
+                        ASSERT_EQ(swept.size(), single.size());
+                        for (size_t i = 0; i < swept.size(); ++i) {
+                            SCOPED_TRACE(
+                                "model " + std::to_string(int(m)) +
+                                " width " + std::to_string(width) +
+                                " k " + std::to_string(k) + " " +
+                                sourceName(src) + " exec " +
+                                std::to_string(int(exec)) + " lane " +
+                                std::to_string(i));
+                            expectSameDynamicResult(swept[i],
+                                                    single[i]);
+                        }
                     }
                 }
             }
@@ -415,14 +565,17 @@ TEST(Executor, SolSweepAllModesMatchPerCellRuns)
 TEST(Executor, SolSweepSupportGate)
 {
     // The mixed variant set (free_window, MSHRs, SC speculation,
-    // differing widths/models) is not lockstep-runnable...
+    // differing widths/models) is not lockstep-runnable, from any
+    // source...
     std::vector<DynamicConfig> mixed = variantConfigs();
     EXPECT_FALSE(core::solSweepSupported(mixed));
-    trace::TraceView view(testing::randomTrace(3, 500));
+    TwoForms t(3);
     SimContext ctx;
-    EXPECT_THROW(
-        core::runDynamicSweep(view, mixed, ctx, core::SweepMode::SoL),
-        std::invalid_argument);
+    for (Source src : kSources) {
+        SCOPED_TRACE(sourceName(src));
+        EXPECT_THROW(t.sweep(src, mixed, ctx, core::SweepMode::SoL),
+                     std::invalid_argument);
+    }
     // ...but a window/store-buffer-only family is, even with uniform
     // non-default knobs.
     std::vector<DynamicConfig> fam =
@@ -433,59 +586,66 @@ TEST(Executor, SolSweepSupportGate)
         c.ignore_data_deps = true;
     }
     EXPECT_TRUE(core::solSweepSupported(fam));
-    std::vector<DynamicResult> swept =
-        core::runDynamicSweep(view, fam, ctx, core::SweepMode::SoL);
-    for (size_t i = 0; i < fam.size(); ++i)
-        expectSameDynamicResult(swept[i],
-                                DynamicProcessor(fam[i]).run(view));
-}
-
-/** One context must serve SoL, forced-scalar SoL, tiled, and
- *  single-cell runs back to back with no state bleed. */
-TEST(Executor, SolContextReuseAcrossModes)
-{
-    trace::TraceView view(testing::randomTrace(17, 3000));
-    std::vector<DynamicConfig> fam =
-        solFamily(4, ConsistencyModel::RC, 1);
-
-    std::vector<DynamicResult> single;
-    for (const DynamicConfig &cfg : fam)
-        single.push_back(DynamicProcessor(cfg).run(view));
-
-    SimContext shared;
-    for (core::SweepMode mode :
-         {core::SweepMode::SoL, core::SweepMode::PerLaneTiled,
-          core::SweepMode::SoLScalar, core::SweepMode::SoL}) {
+    std::vector<DynamicResult> single = t.single(fam);
+    for (Source src : kSources) {
         std::vector<DynamicResult> swept =
-            core::runDynamicSweep(view, fam, shared, mode);
+            t.sweep(src, fam, ctx, core::SweepMode::SoL);
         for (size_t i = 0; i < fam.size(); ++i) {
-            SCOPED_TRACE("mode " + std::to_string(int(mode)) +
-                         " lane " + std::to_string(i));
+            SCOPED_TRACE(sourceName(src) + " lane " +
+                         std::to_string(i));
             expectSameDynamicResult(swept[i], single[i]);
         }
-        // Interleave a single-cell run through lane 0.
-        expectSameDynamicResult(
-            DynamicProcessor(fam[2]).run(view, shared), single[2]);
     }
 }
 
-/** The runtime forced-scalar switch reroutes Auto; results do not
- *  change. */
+/** One context must serve SoL, forced-scalar SoL, tiled, and
+ *  single-cell runs back to back, from flat and chunked sources
+ *  interleaved, with no state bleed. */
+TEST(Executor, SolContextReuseAcrossModes)
+{
+    TwoForms t(17);
+    std::vector<DynamicConfig> fam =
+        solFamily(4, ConsistencyModel::RC, 1);
+    std::vector<DynamicResult> single = t.single(fam);
+
+    SimContext shared;
+    for (Exec exec : {Exec::SoL, Exec::PerLaneTiled,
+                      Exec::SoLForcedScalar, Exec::SoL, Exec::Auto}) {
+        for (Source src : kSources) {
+            std::vector<DynamicResult> swept =
+                sweepWith(t, src, exec, fam, shared);
+            for (size_t i = 0; i < fam.size(); ++i) {
+                SCOPED_TRACE("exec " + std::to_string(int(exec)) + " " +
+                             sourceName(src) + " lane " +
+                             std::to_string(i));
+                expectSameDynamicResult(swept[i], single[i]);
+            }
+            // Interleave a single-cell run through lane 0.
+            expectSameDynamicResult(
+                DynamicProcessor(fam[2]).run(t.view, shared),
+                single[2]);
+        }
+    }
+}
+
+/** The runtime forced-scalar switch reroutes Auto from every source;
+ *  results do not change. */
 TEST(Executor, SolForcedScalarRuntimeSwitch)
 {
-    trace::TraceView view(testing::randomTrace(29, 2000));
+    TwoForms t(29);
     std::vector<DynamicConfig> fam =
         solFamily(3, ConsistencyModel::SC, 1);
     SimContext ctx;
-    std::vector<DynamicResult> simd =
-        core::runDynamicSweep(view, fam, ctx);
-    util::simd::setForceScalar(true);
-    std::vector<DynamicResult> scalar =
-        core::runDynamicSweep(view, fam, ctx);
-    util::simd::setForceScalar(false);
-    ASSERT_EQ(simd.size(), scalar.size());
-    for (size_t i = 0; i < simd.size(); ++i)
-        expectSameDynamicResult(simd[i], scalar[i]);
+    for (Source src : kSources) {
+        SCOPED_TRACE(sourceName(src));
+        std::vector<DynamicResult> simd = t.sweep(src, fam, ctx);
+        util::simd::setForceScalar(true);
+        std::vector<DynamicResult> scalar = t.sweep(src, fam, ctx);
+        util::simd::setForceScalar(false);
+        ASSERT_EQ(simd.size(), scalar.size());
+        for (size_t i = 0; i < simd.size(); ++i)
+            expectSameDynamicResult(simd[i], scalar[i]);
+    }
 }
 
 // --- SimContext rebind avoids re-zeroing warm rings -----------------
@@ -522,197 +682,6 @@ TEST(Executor, RingRebindSkipsZeroFill)
     EXPECT_EQ(ctx.lane(0).rebind_bytes_skipped,
               after_second + (16ull * 3 + 1 + 1) * sizeof(uint64_t) +
                   warm_bytes);
-}
-
-// --- Streaming executor is bit-identical to the flat paths ----------
-
-/** Multi-chunk random trace: the streamed sweeps must cross chunk
- *  boundaries mid-window, not just run inside one tile. */
-trace::TraceView
-multiChunkView(uint64_t seed)
-{
-    return trace::TraceView(testing::randomTrace(
-        seed, 2 * trace::ChunkedView::kChunkInstrs + 1234));
-}
-
-/**
- * Every config variant — all four models, mixed windows, MSHR limits,
- * SC speculation, the read-delay collector — must produce the same
- * bits through the streamed tiled executor as through single-cell
- * runs, with decode inline and with the decode-ahead thread filling
- * the tile ring.
- */
-TEST(Executor, StreamedSweepMatchesSingleCellRuns)
-{
-    trace::TraceView view = multiChunkView(61);
-    trace::ChunkedView cv(view);
-    std::vector<DynamicConfig> configs = variantConfigs();
-
-    std::vector<DynamicResult> single;
-    for (const DynamicConfig &cfg : configs)
-        single.push_back(DynamicProcessor(cfg).run(view));
-
-    SimContext ctx;
-    for (int threads : {0, 1}) {
-        for (core::SweepMode mode :
-             {core::SweepMode::Auto, core::SweepMode::PerLaneTiled}) {
-            core::StreamOptions opt;
-            opt.decode_threads = threads;
-            std::vector<DynamicResult> streamed =
-                core::runDynamicSweepStreamed(cv, configs, ctx, mode,
-                                              opt);
-            ASSERT_EQ(streamed.size(), single.size());
-            for (size_t i = 0; i < streamed.size(); ++i) {
-                SCOPED_TRACE("threads " + std::to_string(threads) +
-                             " mode " + std::to_string(int(mode)) +
-                             " config " + std::to_string(i));
-                expectSameDynamicResult(streamed[i], single[i]);
-            }
-        }
-    }
-}
-
-/** The streamed struct-of-lanes modes (SIMD, forced-scalar batch,
- *  tiled, Auto) against per-cell runs, lane tails included. */
-TEST(Executor, StreamedSolModesMatchPerCellRuns)
-{
-    trace::TraceView view = multiChunkView(67);
-    trace::ChunkedView cv(view);
-    for (ConsistencyModel m :
-         {ConsistencyModel::SC, ConsistencyModel::RC}) {
-        for (size_t k : {size_t{1}, size_t{3}, size_t{5}}) {
-            std::vector<DynamicConfig> configs = solFamily(k, m, 1);
-            ASSERT_TRUE(core::solSweepSupported(configs));
-
-            std::vector<DynamicResult> single;
-            for (const DynamicConfig &cfg : configs)
-                single.push_back(DynamicProcessor(cfg).run(view));
-
-            SimContext ctx;
-            for (int threads : {0, 1}) {
-                for (core::SweepMode mode :
-                     {core::SweepMode::SoL, core::SweepMode::SoLScalar,
-                      core::SweepMode::PerLaneTiled,
-                      core::SweepMode::Auto}) {
-                    core::StreamOptions opt;
-                    opt.decode_threads = threads;
-                    std::vector<DynamicResult> streamed =
-                        core::runDynamicSweepStreamed(cv, configs, ctx,
-                                                      mode, opt);
-                    ASSERT_EQ(streamed.size(), single.size());
-                    for (size_t i = 0; i < streamed.size(); ++i) {
-                        SCOPED_TRACE(
-                            "model " + std::to_string(int(m)) + " k " +
-                            std::to_string(k) + " threads " +
-                            std::to_string(threads) + " mode " +
-                            std::to_string(int(mode)) + " lane " +
-                            std::to_string(i));
-                        expectSameDynamicResult(streamed[i], single[i]);
-                    }
-                }
-            }
-        }
-    }
-
-    // The SoL support gate applies to the streamed entry point too.
-    std::vector<DynamicConfig> mixed = variantConfigs();
-    SimContext ctx;
-    EXPECT_THROW(core::runDynamicSweepStreamed(
-                     cv, mixed, ctx, core::SweepMode::SoL,
-                     core::StreamOptions{}),
-                 std::invalid_argument);
-}
-
-/** One context serves flat sweeps, streamed sweeps, and single-cell
- *  runs back to back with no state bleed. */
-TEST(Executor, StreamedContextReuseAgainstFlat)
-{
-    trace::TraceView view = multiChunkView(71);
-    trace::ChunkedView cv(view);
-    std::vector<DynamicConfig> fam =
-        solFamily(4, ConsistencyModel::RC, 1);
-
-    std::vector<DynamicResult> single;
-    for (const DynamicConfig &cfg : fam)
-        single.push_back(DynamicProcessor(cfg).run(view));
-
-    SimContext shared;
-    for (int round = 0; round < 2; ++round) {
-        SCOPED_TRACE("round " + std::to_string(round));
-        std::vector<DynamicResult> flat =
-            core::runDynamicSweep(view, fam, shared);
-        std::vector<DynamicResult> streamed =
-            core::runDynamicSweepStreamed(cv, fam, shared);
-        for (size_t i = 0; i < fam.size(); ++i) {
-            SCOPED_TRACE("lane " + std::to_string(i));
-            expectSameDynamicResult(flat[i], single[i]);
-            expectSameDynamicResult(streamed[i], single[i]);
-        }
-        // Interleave a single-cell run through lane 0.
-        expectSameDynamicResult(
-            DynamicProcessor(fam[1]).run(view, shared), single[1]);
-    }
-}
-
-/** Forcing the scalar batch at runtime reroutes the streamed Auto
- *  path; results do not change. */
-TEST(Executor, StreamedForcedScalarRuntimeSwitch)
-{
-    trace::TraceView view = multiChunkView(73);
-    trace::ChunkedView cv(view);
-    std::vector<DynamicConfig> fam =
-        solFamily(3, ConsistencyModel::SC, 1);
-    SimContext ctx;
-    std::vector<DynamicResult> simd =
-        core::runDynamicSweepStreamed(cv, fam, ctx);
-    util::simd::setForceScalar(true);
-    std::vector<DynamicResult> scalar =
-        core::runDynamicSweepStreamed(cv, fam, ctx);
-    util::simd::setForceScalar(false);
-    ASSERT_EQ(simd.size(), scalar.size());
-    for (size_t i = 0; i < simd.size(); ++i)
-        expectSameDynamicResult(simd[i], scalar[i]);
-}
-
-/**
- * runGroup against a chunk-resident bundle must reproduce the flat
- * bundle's rows for every planned group: fused DS sweeps and DS
- * singletons stream, non-DS rows (which need first_use random access)
- * run against the memoized flatten.
- */
-TEST(Executor, RunGroupChunkedBundleMatchesFlat)
-{
-    trace::Trace raw = testing::randomTrace(
-        79, 2 * trace::ChunkedView::kChunkInstrs + 555);
-    sim::ViewBundle flat;
-    flat.view = trace::TraceView::build(raw);
-    flat.stats = trace::computeStats(raw);
-    flat.verified = true;
-    sim::ViewBundle chunked = flat;
-    chunked.view.reset();
-    chunked.chunked =
-        std::make_shared<trace::ChunkedView>(*flat.view);
-
-    EXPECT_LT(chunked.traceBytesResident(),
-              flat.traceBytesResident() / 2);
-
-    std::vector<ModelSpec> specs = combinedSpecs();
-    std::vector<uint8_t> done(specs.size(), 0);
-    for (size_t cap : {size_t{0}, size_t{1}, size_t{3}}) {
-        SimContext flat_ctx, chunked_ctx;
-        for (const ExecGroup &g : sim::planPhase2(specs, done, cap)) {
-            std::vector<RunResult> want =
-                sim::runGroup(flat, specs, g, flat_ctx);
-            std::vector<RunResult> got =
-                sim::runGroup(chunked, specs, g, chunked_ctx);
-            ASSERT_EQ(got.size(), want.size());
-            for (size_t i = 0; i < g.rows.size(); ++i) {
-                SCOPED_TRACE("cap " + std::to_string(cap) + " " +
-                             specs[g.rows[i]].label());
-                EXPECT_EQ(got[i], want[i]);
-            }
-        }
-    }
 }
 
 } // namespace
