@@ -16,7 +16,9 @@
  * results are checked bit-identical to the per-cell results first.
  *
  * Every timing is best-of-N rounds after an untimed warmup; N comes
- * from --repeat (default: 1 round per cell, 2 per campaign sweep).
+ * from --repeat (default: 1 round per cell, 2 per campaign sweep). A
+ * cell's reference and view loops alternate round by round, so host
+ * drift hits both sides of its ratio alike.
  * --cold reloads the trace from the store between rounds, so the
  * measurement covers the cold I/O path instead of a memory-resident
  * view.
@@ -26,6 +28,9 @@
  * of many ~1M-instruction cells whose aggregate TraceView footprint
  * (--stream-gb, default 0.25 GB at --small / 4 GB at --full) dwarfs
  * the last-level cache, so every pass reads the operand arrays cold.
+ * Whether it really does on the measuring host is recorded, not
+ * assumed: the JSON's footprint_bytes and exceeds_llc (against
+ * host_l3_bytes), and the same verdict in the text report.
  * The per-cell path runs each of the K window configs as its own
  * scalar pass over every cell (K cold streams of the whole footprint);
  * the fused path runs one struct-of-lanes sweep per cell (one
@@ -88,6 +93,43 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
+/**
+ * One timing window: repeat @p run until @p min_seconds elapse;
+ * instructions/second.
+ *
+ * With a @p reset callback (--cold), every timed repetition is
+ * preceded by an *untimed* reset that drops and reloads the state the
+ * loop streams (DESIGN §9's memory-bound regime: fresh allocations,
+ * no warm residency carried between reps); only run() is on the
+ * clock. Without one, the loop times back-to-back reps.
+ */
+double
+windowIps(const std::function<void()> &run, size_t instructions,
+          double min_seconds, const std::function<void()> &reset)
+{
+    uint64_t reps = 0;
+    double elapsed;
+    if (reset) {
+        elapsed = 0.0;
+        do {
+            reset();
+            auto start = std::chrono::steady_clock::now();
+            run();
+            elapsed += secondsSince(start);
+            ++reps;
+        } while (elapsed < min_seconds);
+    } else {
+        auto start = std::chrono::steady_clock::now();
+        do {
+            run();
+            ++reps;
+            elapsed = secondsSince(start);
+        } while (elapsed < min_seconds);
+    }
+    return static_cast<double>(instructions) * static_cast<double>(reps) /
+        elapsed;
+}
+
 /** One (kind, model, window) throughput measurement. */
 struct CellResult {
     std::string label;
@@ -102,54 +144,33 @@ struct CellResult {
     {
         return legacy_ips == 0.0 ? 0.0 : view_ips / legacy_ips;
     }
-};
 
-/**
- * Best of @p rounds timing windows, each repeating @p run until
- * @p min_seconds elapse; instructions/second.
- *
- * With a @p reset callback (--cold), every timed repetition is
- * preceded by an *untimed* reset that drops and reloads the state the
- * loop streams (DESIGN §9's memory-bound regime: fresh allocations,
- * no warm residency carried between reps); only run() is on the
- * clock. Without one, the loop times back-to-back reps exactly as
- * before.
- */
-double
-measureIps(const std::function<void()> &run, size_t instructions,
-           double min_seconds, unsigned rounds,
-           const std::function<void()> &reset = {})
-{
-    if (reset)
-        reset();
-    run(); // Warm up caches and allocations.
-    double best = 0.0;
-    for (unsigned round = 0; round < rounds; ++round) {
-        uint64_t reps = 0;
-        double elapsed;
-        if (reset) {
-            elapsed = 0.0;
-            do {
-                reset();
-                auto start = std::chrono::steady_clock::now();
-                run();
-                elapsed += secondsSince(start);
-                ++reps;
-            } while (elapsed < min_seconds);
-        } else {
-            auto start = std::chrono::steady_clock::now();
-            do {
-                run();
-                ++reps;
-                elapsed = secondsSince(start);
-            } while (elapsed < min_seconds);
+    /**
+     * Time the reference loop @p legacy against the production loop
+     * @p view: after one untimed warmup each, best of @p rounds windows
+     * per side, the sides alternating round by round (as bench_phase1
+     * does) so host drift cannot skew the ratio by landing on one
+     * side's rounds. Only the view side takes the --cold @p reset.
+     */
+    void measure(const std::function<void()> &legacy,
+                 const std::function<void()> &view, size_t instructions,
+                 double min_seconds, unsigned rounds,
+                 const std::function<void()> &reset)
+    {
+        legacy();
+        if (reset)
+            reset();
+        view();
+        for (unsigned round = 0; round < rounds; ++round) {
+            legacy_ips = std::max(
+                legacy_ips,
+                windowIps(legacy, instructions, min_seconds, {}));
+            view_ips = std::max(
+                view_ips,
+                windowIps(view, instructions, min_seconds, reset));
         }
-        best = std::max(best,
-                        static_cast<double>(instructions) *
-                            static_cast<double>(reps) / elapsed);
     }
-    return best;
-}
+};
 
 std::string
 jsonDouble(double v)
@@ -362,11 +383,8 @@ main(int argc, char **argv)
         core::RunResult opt = proc.run(*view);
         check(ref == opt, cell.label);
         cell.cycles = opt.cycles;
-        cell.legacy_ips = measureIps(
-            [&] { proc.run(t); }, n, min_seconds, cell_rounds);
-        cell.view_ips = measureIps([&] { proc.run(*view); }, n,
-                                   min_seconds, cell_rounds,
-                                   cold_reset);
+        cell.measure([&] { proc.run(t); }, [&] { proc.run(*view); }, n,
+                     min_seconds, cell_rounds, cold_reset);
         cells.push_back(cell);
     }
 
@@ -388,11 +406,9 @@ main(int argc, char **argv)
             core::RunResult opt = proc.run(*view);
             check(ref == opt, cell.label);
             cell.cycles = opt.cycles;
-            cell.legacy_ips = measureIps(
-                [&] { proc.runReference(t); }, n, min_seconds, cell_rounds);
-            cell.view_ips = measureIps([&] { proc.run(*view); }, n,
-                                       min_seconds, cell_rounds,
-                                       cold_reset);
+            cell.measure([&] { proc.runReference(t); },
+                         [&] { proc.run(*view); }, n, min_seconds,
+                         cell_rounds, cold_reset);
             cells.push_back(cell);
         }
     }
@@ -417,11 +433,9 @@ main(int argc, char **argv)
                           opt.avg_window_occupancy,
                   cell.label);
             cell.cycles = opt.cycles;
-            cell.legacy_ips = measureIps(
-                [&] { proc.runReference(t); }, n, min_seconds, cell_rounds);
-            cell.view_ips = measureIps([&] { proc.run(*view); }, n,
-                                       min_seconds, cell_rounds,
-                                       cold_reset);
+            cell.measure([&] { proc.runReference(t); },
+                         [&] { proc.run(*view); }, n, min_seconds,
+                         cell_rounds, cold_reset);
             cells.push_back(cell);
         }
     }
@@ -537,8 +551,9 @@ main(int argc, char **argv)
 
     // ------------------------------------------------------------------
     // Memory-bound regime: many ~1M-instruction synthetic cells whose
-    // aggregate view footprint exceeds any LLC, so both paths read the
-    // operand arrays cold from memory. Per-cell runs config-major (K
+    // aggregate view footprint is meant to exceed the LLC (checked
+    // against the host's L3 below), so both paths read the operand
+    // arrays cold from memory. Per-cell runs config-major (K
     // scalar streams of the whole footprint — by the time a config
     // returns to cell 0, every cell has been evicted); fused runs one
     // struct-of-lanes sweep per cell (a single stream). This is the
@@ -697,6 +712,13 @@ main(int argc, char **argv)
     if (stream_gb > 0.0)
         worker_rss = measureWorkerRss(args.small);
 
+    // The regime is only memory-bound if the flat footprint every
+    // per-cell pass streams is larger than this host's LLC; an
+    // undetectable L3 (0) earns no such claim.
+    const uint64_t host_l3 = util::hostCacheBytes(3);
+    const bool exceeds_llc =
+        host_l3 > 0 && streamed_flat_bytes > static_cast<double>(host_l3);
+
     stats::Table table(
         {"cell", "view Minstr/s", "legacy Minstr/s", "speedup"});
     for (const CellResult &cell : cells) {
@@ -737,6 +759,13 @@ main(int argc, char **argv)
             stream_lanes, core::solActiveIsaName(),
             memory_bound.percell_seconds, memory_bound.fused_seconds,
             memory_bound.speedup());
+        std::printf(
+            "  footprint %.0f MB vs host L3 %.0f MB: %s\n",
+            streamed_flat_bytes / 1e6, static_cast<double>(host_l3) / 1e6,
+            exceeds_llc ? "exceeds the LLC, memory-bound"
+                : host_l3 == 0
+                ? "L3 size unknown, NOT shown memory-bound"
+                : "fits in the LLC, NOT memory-bound on this host");
         std::printf(
             "regime memory_bound_streamed (chunk-compressed, %.0f MB "
             "resident of %.0f MB flat, decode threads %d): %.2fs — "
@@ -779,7 +808,7 @@ main(int argc, char **argv)
         << "  \"host_cores\": "
         << std::thread::hardware_concurrency() << ",\n"
         << "  \"host_l2_bytes\": " << util::hostCacheBytes(2) << ",\n"
-        << "  \"host_l3_bytes\": " << util::hostCacheBytes(3) << ",\n"
+        << "  \"host_l3_bytes\": " << host_l3 << ",\n"
         << "  \"peak_rss_bytes\": " << util::peakRssBytes() << ",\n"
         << "  \"simd_isa\": \"" << core::solIsaName() << "\",\n"
         << "  \"simd_active\": \"" << core::solActiveIsaName()
@@ -817,6 +846,9 @@ main(int argc, char **argv)
             << ", \"cells\": " << stream_cells
             << ", \"instructions_per_cell\": " << stream_instr_per_cell
             << ", \"lanes\": " << stream_lanes
+            << ", \"footprint_bytes\": "
+            << static_cast<uint64_t>(streamed_flat_bytes)
+            << ", \"exceeds_llc\": " << (exceeds_llc ? "true" : "false")
             << ",\n                     \"percell_seconds\": "
             << jsonDouble(memory_bound.percell_seconds)
             << ", \"fused_seconds\": "

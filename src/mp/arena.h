@@ -27,6 +27,13 @@ using trace::Addr;
  * Each slot stores one 64-bit payload, read and written through the
  * DSL as either an integer or a double. Addresses are byte-granular
  * so cache-line geometry (16-byte lines = 2 slots) behaves naturally.
+ *
+ * Host storage backs only the slots handed out so far: it starts
+ * empty and grows geometrically inside alloc(), never past the
+ * max_slots cap. The apps use a few MB of the default 64 MB cap, and
+ * an Engine should pay (zero-fill, page faults, unmap) only for those.
+ * Growing may move the storage: a reference returned by raw() is
+ * only valid until the next allocation.
  */
 class Arena
 {
@@ -55,9 +62,17 @@ class Arena
     Addr allocPadded(size_t slots, Addr line_bytes = 16);
 
     /** Number of slots currently allocated. */
-    size_t usedSlots() const { return next_slot_; }
+    size_t usedSlots() const { return slots_.size(); }
 
-    size_t maxSlots() const { return slots_.size(); }
+    /** The cap: allocating past it throws std::length_error. */
+    size_t maxSlots() const { return max_slots_; }
+
+    /**
+     * Slots of host storage reserved so far — an upper bound on what
+     * the arena commits, at most twice usedSlots() and never above
+     * maxSlots().
+     */
+    size_t reservedSlots() const { return slots_.capacity(); }
 
     /** Raw payload of the slot holding @p addr. */
     uint64_t &raw(Addr addr) { return slots_[slotIndex(addr)]; }
@@ -94,22 +109,23 @@ class Arena
         raw(addr) = bits;
     }
 
-    /** True when @p addr lies inside the allocated region. */
-    bool contains(Addr addr) const;
-
   private:
     size_t slotIndex(Addr addr) const
     {
         if (addr < kBaseAddr)
             throw std::out_of_range("arena address below base");
         size_t idx = (addr - kBaseAddr) / kSlotBytes;
-        if (idx >= next_slot_)
+        if (idx >= slots_.size())
             throw std::out_of_range("arena address past allocation");
         return idx;
     }
 
+    /** Extend the allocation to @p end slots, zero-filled. */
+    void growTo(size_t end);
+
+    /** Exactly the allocated slots: size() is the bump pointer. */
     std::vector<uint64_t> slots_;
-    size_t next_slot_ = 0;
+    size_t max_slots_;
 };
 
 /**

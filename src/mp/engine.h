@@ -24,7 +24,12 @@ struct EngineConfig {
     memsys::CacheConfig cache;
     memsys::MemoryConfig mem;
     uint32_t traced_proc = 0;       ///< Whose trace is captured.
-    size_t arena_slots = 8u << 20;  ///< 64 MB of simulated memory.
+    /**
+     * Cap on simulated memory, in 8-byte slots (64 MB). Host storage
+     * is backed lazily, only for the slots the application allocates
+     * (a few MB for the paper's apps); allocating past the cap throws.
+     */
+    size_t arena_slots = 8u << 20;
 
     /** Legacy-engine capture reserve (fast capture is chunked). */
     size_t trace_reserve = 1u << 20;
@@ -222,6 +227,17 @@ class Engine
     size_t done_count_ = 0;
     bool ran_ = false;
 };
+
+/**
+ * Every simulated memory and sync operation suspends through here, so
+ * it is inline with onSuspend rather than an out-of-line call.
+ */
+inline void
+ThreadContext::Awaiter::await_suspend(std::coroutine_handle<> handle) noexcept
+{
+    ctx->resume_handle_ = handle;
+    ctx->engine_->onSuspend(ctx->proc_);
+}
 
 } // namespace dsmem::mp
 

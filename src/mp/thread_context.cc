@@ -55,15 +55,8 @@ ThreadContext::recordTimed(const TraceInst &inst)
 }
 
 // ---------------------------------------------------------------------
-// Memory and synchronization awaitables
+// Synchronization awaitables
 // ---------------------------------------------------------------------
-
-void
-ThreadContext::Awaiter::await_suspend(std::coroutine_handle<> handle) noexcept
-{
-    ctx->resume_handle_ = handle;
-    ctx->engine_->onSuspend(ctx->proc_);
-}
 
 ThreadContext::Awaiter
 ThreadContext::lock(LockId lock)

@@ -353,6 +353,7 @@ class ThreadContext
         ThreadContext *ctx;
 
         bool await_ready() const noexcept { return false; }
+        /** Inline in mp/engine.h, next to Engine::onSuspend. */
         void await_suspend(std::coroutine_handle<> handle) noexcept;
         Val await_resume() const noexcept { return ctx->pending_.result; }
     };
@@ -537,5 +538,9 @@ class ThreadContext
 };
 
 } // namespace dsmem::mp
+
+// Awaiter::await_suspend needs the complete Engine; its inline
+// definition lives there, so every includer gets it.
+#include "mp/engine.h"
 
 #endif // DSMEM_MP_THREAD_CONTEXT_H

@@ -13,6 +13,14 @@ Trace::append(const TraceInst &inst)
     return static_cast<InstIndex>(insts_.size() - 1);
 }
 
+void
+Trace::append(const TraceInst *insts, size_t count)
+{
+    if (count > static_cast<size_t>(kNoSrc) - insts_.size())
+        throw std::length_error("Trace exceeds index space");
+    insts_.insert(insts_.end(), insts, insts + count);
+}
+
 std::vector<InstIndex>
 Trace::computeFirstUses() const
 {

@@ -26,6 +26,9 @@ class Trace
     /** Append an instruction; returns its index (= SSA name). */
     InstIndex append(const TraceInst &inst);
 
+    /** Append @p count instructions in one block, one index check. */
+    void append(const TraceInst *insts, size_t count);
+
     /** Pre-allocate room for @p n instructions. */
     void reserve(size_t n) { insts_.reserve(n); }
 

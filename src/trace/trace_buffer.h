@@ -71,8 +71,7 @@ class TraceRecorder
             const size_t count = (c + 1 == n_chunks)
                 ? kChunkInsts - static_cast<size_t>(end_ - cur_)
                 : kChunkInsts;
-            for (size_t i = 0; i < count; ++i)
-                t.append(p[i]);
+            t.append(p, count);
             chunks_[c].reset(); // Stream: never hold both copies whole.
         }
         chunks_.clear();

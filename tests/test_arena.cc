@@ -84,6 +84,93 @@ TEST(ArenaTest, OutOfRangeAccessThrows)
     EXPECT_THROW(a.loadInt(0), std::out_of_range);
 }
 
+TEST(ArenaTest, BacksOnlyTheAllocatedSlots)
+{
+    // The engine's default cap: 8 Mi slots (64 MB) of simulated memory.
+    Arena a(8u << 20);
+    EXPECT_EQ(a.maxSlots(), size_t{8} << 20);
+    EXPECT_EQ(a.reservedSlots(), 0u);
+    a.alloc(10);
+    a.allocPadded(3);
+    a.alloc(100, 64);
+    EXPECT_GE(a.reservedSlots(), a.usedSlots());
+    EXPECT_LE(a.reservedSlots(), 2 * a.usedSlots());
+    // Fresh slots read as zero, as they did when the cap was zero-filled.
+    EXPECT_EQ(a.loadInt(Arena::kBaseAddr + 8 * (a.usedSlots() - 1)), 0);
+}
+
+TEST(ArenaTest, ReservationNeverExceedsTheCap)
+{
+    Arena a(1000);
+    for (int i = 0; i < 9; ++i)
+        a.alloc(100);
+    EXPECT_LE(a.reservedSlots(), 1000u);
+    a.alloc(100);
+    EXPECT_EQ(a.usedSlots(), 1000u);
+    EXPECT_LE(a.reservedSlots(), 1000u);
+}
+
+TEST(ArenaTest, ExhaustionThrowsExactlyAtTheCap)
+{
+    Arena a(100);
+    a.alloc(60);
+    EXPECT_THROW(a.alloc(41), std::length_error);
+    EXPECT_EQ(a.usedSlots(), 60u); // A failed alloc changes nothing.
+    a.alloc(40);
+    EXPECT_EQ(a.usedSlots(), 100u);
+    EXPECT_THROW(a.alloc(1), std::length_error);
+    // Alignment padding counts against the cap too.
+    Arena b(100);
+    b.alloc(97);
+    EXPECT_THROW(b.alloc(1, 64), std::length_error);
+}
+
+TEST(ArenaTest, PaddedAllocationNearTheCapClamps)
+{
+    Arena a(10);
+    a.alloc(8);
+    Addr last = a.allocPadded(1, 32); // Would round the bump past 10.
+    EXPECT_EQ(last, Arena::kBaseAddr + 8 * 8);
+    EXPECT_EQ(a.usedSlots(), 10u);
+    EXPECT_LE(a.reservedSlots(), 10u);
+    EXPECT_THROW(a.alloc(1), std::length_error);
+    // The clamped padding slot is allocated, hence addressable.
+    a.storeInt(Arena::kBaseAddr + 9 * 8, 5);
+    EXPECT_EQ(a.loadInt(Arena::kBaseAddr + 9 * 8), 5);
+}
+
+TEST(ArenaTest, AccessPastTheAllocationThrows)
+{
+    Arena a(8u << 20);
+    a.alloc(3);
+    const Addr past = Arena::kBaseAddr + 3 * Arena::kSlotBytes;
+    EXPECT_THROW(a.loadInt(past), std::out_of_range);
+    EXPECT_THROW(a.raw(past), std::out_of_range);
+    EXPECT_THROW(a.storeFloat(past + 4096, 1.0), std::out_of_range);
+    const Arena &ca = a;
+    EXPECT_THROW(ca.raw(past), std::out_of_range);
+}
+
+TEST(ArenaTest, AllocationSequenceAddressesArePinned)
+{
+    // Simulated addresses feed cache indexing, so they must never move:
+    // these are the addresses the bump allocator has always produced.
+    Arena a(8u << 20);
+    EXPECT_EQ(a.alloc(5), 0x1000u);
+    EXPECT_EQ(a.allocPadded(3), 0x1030u);
+    EXPECT_EQ(a.alloc(1, 64), 0x1080u);
+    EXPECT_EQ(a.allocPadded(7, 64), 0x10c0u);
+    EXPECT_EQ(a.alloc(1000), 0x1100u);
+    EXPECT_EQ(a.alloc(2, 4096), 0x4000u);
+    EXPECT_EQ(a.usedSlots(), (0x4010u - 0x1000u) / 8);
+    // Data written before a storage regrowth survives it.
+    a.storeInt(0x1000, 42);
+    a.storeFloat(0x4008, -0.5);
+    a.alloc(100000);
+    EXPECT_EQ(a.loadInt(0x1000), 42);
+    EXPECT_DOUBLE_EQ(a.loadFloat(0x4008), -0.5);
+}
+
 TEST(ArenaArrayTest, AddressAndData)
 {
     Arena a(64);

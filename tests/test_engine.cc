@@ -321,6 +321,24 @@ TEST(EngineErrorTest, DoubleAttachThrows)
         std::logic_error);
 }
 
+TEST(EngineArenaTest, DefaultEngineBacksNoArenaBeforeSetup)
+{
+    // The default cap is 64 MB of simulated memory; an Engine must not
+    // pay for it up front — only for what the application allocates.
+    Engine engine(EngineConfig{});
+    EXPECT_EQ(engine.arena().maxSlots(), EngineConfig{}.arena_slots);
+    EXPECT_LT(engine.arena().reservedSlots() * Arena::kSlotBytes,
+              size_t{1} << 20);
+
+    std::unique_ptr<apps::Application> app =
+        sim::makeApp(sim::AppId::LU, /*small=*/true);
+    apps::runApplication(engine, *app);
+    EXPECT_TRUE(app->verify(engine));
+    EXPECT_GT(engine.arena().usedSlots(), 0u);
+    EXPECT_LE(engine.arena().reservedSlots(),
+              2 * engine.arena().usedSlots());
+}
+
 // ---------------------------------------------------------------------
 // Trace capture
 // ---------------------------------------------------------------------

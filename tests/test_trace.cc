@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "trace/op.h"
+#include "trace/trace_buffer.h"
 #include "trace/trace_stats.h"
 
 namespace dsmem::trace {
@@ -272,6 +273,34 @@ TEST(TraceStatsTest, DependenceDistanceHistogram)
     EXPECT_EQ(h.count(), 3u);
     EXPECT_EQ(h.bucketCount(1), 2u);
     EXPECT_EQ(h.bucketCount(2), 1u);
+}
+
+TEST(TraceRecorderTest, DrainMatchesPerRecordAppendAcrossChunks)
+{
+    // Two full chunks plus a partial one, drained after a record the
+    // trace already holds: the block append must reproduce appending
+    // each record in order.
+    const size_t n = 2 * TraceRecorder::kChunkInsts + 5;
+    TraceRecorder rec;
+    Trace expected("t");
+    Trace drained("t");
+    const TraceInst head = makeCompute(Op::IALU);
+    expected.append(head);
+    drained.append(head);
+    for (size_t i = 0; i < n; ++i) {
+        TraceInst inst = makeCompute(
+            i % 3 ? Op::FADD : Op::IALU,
+            i ? static_cast<InstIndex>(i) : kNoSrc);
+        inst.latency = static_cast<uint32_t>(i % 97);
+        rec.append(inst);
+        expected.append(inst);
+    }
+    rec.patchLatency(TraceRecorder::kChunkInsts + 1, 4242);
+    expected[TraceRecorder::kChunkInsts + 2].latency = 4242;
+    EXPECT_EQ(rec.size(), n);
+    rec.drainInto(drained);
+    EXPECT_EQ(rec.size(), 0u);
+    EXPECT_EQ(drained, expected);
 }
 
 } // namespace
