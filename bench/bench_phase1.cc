@@ -10,7 +10,9 @@
  *
  * Every measurement is best-of-N with the variants interleaved per
  * round, so background-load noise hits all of them alike instead of
- * biasing whichever ran last.
+ * biasing whichever ran last. A load round repeats its load for at
+ * least 10 ms (see BestOf), so the small bundle's sub-millisecond
+ * loads are not timed one call at a time.
  *
  * Results go to stdout as a table and to BENCH_phase1.json (override
  * with --json). Defaults to --small; pass --full for the paper-scaled
@@ -123,15 +125,27 @@ writeFile(const std::string &path,
     return static_cast<size_t>(os.tellp());
 }
 
-/** Best wall-clock seconds of @p fn over the recorded rounds. */
+/**
+ * Best per-call wall-clock seconds of @p fn over the recorded rounds.
+ * A round calls @p fn until it has run for kMinRoundS and keeps the
+ * mean, so a sub-millisecond load (the small bundle) is timed over
+ * many calls and one preempted call cannot decide a round.
+ */
 struct BestOf {
+    static constexpr double kMinRoundS = 0.010;
     double best = 1e100;
 
     void round(const std::function<void()> &fn)
     {
         Clock::time_point t0 = Clock::now();
-        fn();
-        best = std::min(best, secondsSince(t0));
+        int calls = 0;
+        double secs = 0.0;
+        do {
+            fn();
+            ++calls;
+            secs = secondsSince(t0);
+        } while (secs < kMinRoundS);
+        best = std::min(best, secs / calls);
     }
 };
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <thread>
-#include <tuple>
 
 #include "util/byte_io.h"
 #include "util/errors.h"
@@ -316,11 +314,9 @@ Campaign::run()
         return;
 
     // Group units sharing one phase-1 trace so it is generated once.
-    using TraceKey = std::tuple<sim::AppId, memsys::MemoryConfig, bool>;
     std::map<TraceKey, std::vector<size_t>> groups;
     for (size_t u = 0; u < units_.size(); ++u)
-        groups[{units_[u].app, units_[u].mem, units_[u].small}]
-            .push_back(u);
+        groups[keyOf(units_[u])].push_back(u);
 
     // Adaptive fusion: size sweep groups off the phase-2 work that is
     // actually pending (resume may have retired most of it) so fusing
@@ -363,18 +359,8 @@ Campaign::run()
         // job writes only its own pre-sized slot, so no result
         // depends on worker scheduling.
         runner.submit([this, &runner, unit_ids, lane_cap] {
-            const Unit &first = units_[unit_ids.front()];
-            const std::string salt =
-                "phase1:" + std::string(sim::appName(first.app)) +
-                (first.small ? ":small" : ":full");
-            sim::TraceOrigin origin;
-            sim::TraceTiming timing;
-            const sim::ViewBundle *bundle = nullptr;
             // Live points are per trace, not per cell: resolve them
-            // here, inside the retry loop (the .dslp cache read can
-            // fault transiently), and share one set with every
-            // phase-2 group of this trace.
-            std::shared_ptr<const sim::LivePointSet> lp;
+            // once here and share one set with every phase-2 group.
             bool want_points = false;
             if (opts_.sampling.enabled())
                 for (size_t u : unit_ids)
@@ -383,84 +369,11 @@ Campaign::run()
                             units_[u].specs[s].kind ==
                                 sim::ModelSpec::Kind::DS)
                             want_points = true;
-            std::string transient;
-            unsigned attempt = 1;
-            auto start = std::chrono::steady_clock::now();
-            for (;; ++attempt) {
-                // Per-attempt clock: the watchdog budgets one job
-                // execution, not the backoff sleeps between retries —
-                // otherwise a fault that recovers on retry could
-                // still be converted into a watchdog failure.
-                start = std::chrono::steady_clock::now();
-                try {
-                    util::failpoint("campaign.phase1");
-                    // Phase 2 only ever reads the SoA view, so
-                    // resolve the view-shaped bundle: a v2 disk hit
-                    // deserializes straight into TraceView arrays and
-                    // the AoS trace never exists in this process.
-                    bundle = &cache_.getView(first.app, first.mem,
-                                             first.small, &origin,
-                                             &timing);
-                    if (want_points)
-                        // Sampling's functional warming needs random
-                        // access; a chunked bundle flattens (memoized)
-                        // for this pass only.
-                        lp = resolveLivePoints(first,
-                                               *bundle->flatView());
-                    break;
-                } catch (const util::IoError &e) {
-                    transient = e.what();
-                    if (attempt < opts_.max_attempts) {
-                        backoff(salt, attempt);
-                        continue;
-                    }
-                    for (size_t u : unit_ids)
-                        recordError(
-                            u, UnitError{"phase1", transient, "",
-                                         static_cast<int>(attempt),
-                                         true});
-                    return;
-                } catch (const std::exception &e) {
-                    for (size_t u : unit_ids)
-                        recordError(
-                            u, UnitError{"phase1", e.what(), "",
-                                         static_cast<int>(attempt),
-                                         true});
-                    return;
-                }
-            }
-            double wall = elapsedMs(start);
-            if (opts_.job_timeout_ms > 0 &&
-                wall > opts_.job_timeout_ms) {
-                for (size_t u : unit_ids)
-                    recordError(
-                        u,
-                        UnitError{
-                            "watchdog",
-                            "phase-1 job exceeded --job-timeout-ms",
-                            "", static_cast<int>(attempt), true});
+            TraceHit hit;
+            if (!resolveTrace(unit_ids, "", want_points, hit))
                 return;
-            }
-            if (attempt > 1)
-                recordError(unit_ids.front(),
-                            UnitError{"phase1",
-                                      "recovered after retry: " +
-                                          transient,
-                                      "",
-                                      static_cast<int>(attempt),
-                                      false});
-
-            for (size_t u : unit_ids) {
-                results_[u].bundle = bundle;
-                results_[u].origin = origin;
-                results_[u].trace_wall_ms = wall;
-                results_[u].trace_timing = timing;
-                results_[u].trace_from_journal = false;
-                journal_.appendTrace(JournalTrace{
-                    u, std::string(sim::traceOriginName(origin)),
-                    bundle->stats.instructions, wall, timing.gen_ms,
-                    timing.load_ms});
-            }
+            for (size_t u : unit_ids)
+                adoptTrace(u, hit);
             for (size_t u : unit_ids) {
                 const Unit &unit = units_[u];
                 // planPhase2 skips journal-restored rows and returns
@@ -468,10 +381,9 @@ Campaign::run()
                 // FIFO pool, so heavy sweeps start before stragglers.
                 for (sim::ExecGroup &g : sim::planPhase2(
                          unit.specs, results_[u].row_done, lane_cap)) {
-                    runner.submit(
-                        [this, bundle, u, g = std::move(g), lp] {
-                            runGroup(bundle, u, g, lp);
-                        });
+                    runner.submit([this, u, g = std::move(g), hit] {
+                        runGroup(hit.bundle, u, g, hit.lp);
+                    });
                 }
             }
         });
@@ -500,11 +412,9 @@ Campaign::shardPlan(unsigned workers) const
 
     // Group pending cells by trace key, first-appearance order, so a
     // shard resolves each phase-1 trace at most once.
-    using TraceKey = std::tuple<sim::AppId, memsys::MemoryConfig, bool>;
     std::vector<std::pair<TraceKey, std::vector<CellRef>>> groups;
     for (CellRef c : pendingCells()) {
-        TraceKey key{units_[c.unit].app, units_[c.unit].mem,
-                     units_[c.unit].small};
+        TraceKey key = keyOf(units_[c.unit]);
         auto it = std::find_if(
             groups.begin(), groups.end(),
             [&](const auto &g) { return g.first == key; });
@@ -596,53 +506,115 @@ Campaign::recordRemoteError(size_t unit, const std::string &spec_label,
 }
 
 bool
+Campaign::resolveTrace(const std::vector<size_t> &units,
+                       const std::string &spec, bool want_points,
+                       TraceHit &hit)
+{
+    const Unit &first = units_[units.front()];
+    const std::string salt = "phase1:" +
+                             std::string(sim::appName(first.app)) +
+                             (first.small ? ":small" : ":full");
+    std::string transient;
+    unsigned attempt = 1;
+    auto fail = [&](const char *site, const std::string &message) {
+        for (size_t u : units)
+            recordError(u, UnitError{site, message, spec,
+                                     static_cast<int>(attempt), true});
+        return false;
+    };
+    auto start = std::chrono::steady_clock::now();
+    for (;; ++attempt) {
+        // Per-attempt clock: the watchdog budgets one job execution,
+        // not the backoff sleeps between retries — otherwise a fault
+        // that recovers on retry could still be converted into a
+        // watchdog failure.
+        start = std::chrono::steady_clock::now();
+        try {
+            util::failpoint("campaign.phase1");
+            // Phase 2 only ever reads the SoA view, so resolve the
+            // view-shaped bundle: a v2 disk hit deserializes straight
+            // into TraceView arrays and the AoS trace never exists in
+            // this process.
+            hit.bundle = &cache_.getView(first.app, first.mem,
+                                         first.small, &hit.origin,
+                                         &hit.timing);
+            // Sampling's functional warming needs random access; a
+            // chunked bundle flattens (memoized) for this pass only.
+            if (want_points)
+                hit.lp = resolveLivePoints(first, *hit.bundle->flatView());
+            break;
+        } catch (const util::IoError &e) {
+            transient = e.what();
+            if (attempt < opts_.max_attempts) {
+                backoff(salt, attempt);
+                continue;
+            }
+            return fail("phase1", transient);
+        } catch (const std::exception &e) {
+            return fail("phase1", e.what());
+        }
+    }
+    hit.wall_ms = elapsedMs(start);
+    if (opts_.job_timeout_ms > 0 && hit.wall_ms > opts_.job_timeout_ms)
+        return fail("watchdog", "phase-1 job exceeded --job-timeout-ms");
+    if (attempt > 1)
+        recordError(units.front(),
+                    UnitError{"phase1", "recovered after retry: " + transient,
+                              spec, static_cast<int>(attempt), false});
+    return true;
+}
+
+void
+Campaign::adoptTrace(size_t u, const TraceHit &hit)
+{
+    UnitResult &res = results_[u];
+    res.bundle = hit.bundle;
+    res.origin = hit.origin;
+    res.trace_wall_ms = hit.wall_ms;
+    res.trace_timing = hit.timing;
+    res.trace_from_journal = false;
+    journal_.appendTrace(JournalTrace{
+        u, std::string(sim::traceOriginName(hit.origin)),
+        hit.bundle->stats.instructions, hit.wall_ms, hit.timing.gen_ms,
+        hit.timing.load_ms});
+}
+
+bool
 Campaign::runCellInline(size_t unit, size_t spec)
 {
     if (unit >= results_.size() || spec >= units_[unit].specs.size())
         return false;
-    if (results_[unit].row_done[spec])
+    UnitResult &res = results_[unit];
+    if (res.row_done[spec])
         return true;
-    const Unit &u = units_[unit];
-    const sim::ViewBundle *vb = nullptr;
-    std::shared_ptr<const sim::LivePointSet> lp;
-    try {
-        sim::TraceOrigin origin;
-        sim::TraceTiming timing;
-        auto start = std::chrono::steady_clock::now();
-        const sim::ViewBundle *bundle =
-            &cache_.getView(u.app, u.mem, u.small, &origin, &timing);
-        if (opts_.sampling.enabled() &&
-            u.specs[spec].kind == sim::ModelSpec::Kind::DS)
-            lp = resolveLivePoints(u, *bundle->flatView());
-        double wall = elapsedMs(start);
-        if (results_[unit].bundle == nullptr &&
-            !results_[unit].trace_from_journal) {
-            results_[unit].bundle = bundle;
-            results_[unit].origin = origin;
-            results_[unit].trace_wall_ms = wall;
-            results_[unit].trace_timing = timing;
-            journal_.appendTrace(JournalTrace{
-                unit, std::string(sim::traceOriginName(origin)),
-                bundle->stats.instructions, wall, timing.gen_ms,
-                timing.load_ms});
-        }
-        vb = bundle;
-    } catch (const std::exception &e) {
-        recordError(unit,
-                    UnitError{"phase1", e.what(),
-                              u.specs[spec].label(), 1, true});
+    const sim::ModelSpec &model = units_[unit].specs[spec];
+    TraceHit hit;
+    if (!resolveTrace({unit}, model.label(),
+                      opts_.sampling.enabled() &&
+                          model.kind == sim::ModelSpec::Kind::DS,
+                      hit))
         return false;
-    }
+    // First provenance wins: a worker's report (or the journal's) may
+    // already describe this unit's trace.
+    if (res.bundle == nullptr && !res.trace_from_journal)
+        adoptTrace(unit, hit);
     sim::ExecGroup group;
     group.rows.push_back(spec);
-    runGroup(vb, unit, group, lp);
-    return results_[unit].row_done[spec] != 0;
+    runGroup(hit.bundle, unit, group, hit.lp);
+    return res.row_done[spec] != 0;
 }
 
 std::shared_ptr<const sim::LivePointSet>
 Campaign::resolveLivePoints(const Unit &unit,
                             const trace::TraceView &view)
 {
+    {
+        std::lock_guard<std::mutex> lock(lp_mu_);
+        auto it = live_points_.find(keyOf(unit));
+        if (it != live_points_.end())
+            return it->second;
+    }
+    std::shared_ptr<const sim::LivePointSet> lp;
     if (auto cached = store_.loadLivePoints(unit.app, unit.mem,
                                             unit.small, opts_.sampling)) {
         // The file's checksum and plan fields already verified; the
@@ -652,14 +624,18 @@ Campaign::resolveLivePoints(const Unit &unit,
         if (cached->instructions == view.size() &&
             cached->offset ==
                 opts_.sampling.offsetFor(view.name(), view.size()))
-            return std::make_shared<const sim::LivePointSet>(
+            lp = std::make_shared<const sim::LivePointSet>(
                 std::move(*cached));
     }
-    auto lp = std::make_shared<sim::LivePointSet>(
-        sim::computeLivePoints(view, opts_.sampling));
-    store_.storeLivePoints(unit.app, unit.mem, unit.small,
-                           opts_.sampling, *lp);
-    return lp;
+    if (!lp) {
+        auto fresh = std::make_shared<sim::LivePointSet>(
+            sim::computeLivePoints(view, opts_.sampling));
+        store_.storeLivePoints(unit.app, unit.mem, unit.small,
+                               opts_.sampling, *fresh);
+        lp = std::move(fresh);
+    }
+    std::lock_guard<std::mutex> lock(lp_mu_);
+    return live_points_.emplace(keyOf(unit), std::move(lp)).first->second;
 }
 
 void
@@ -832,13 +808,12 @@ Campaign::fillSink()
     // independent of the order workers finished in. Trace records
     // dedup by trace key — not bundle pointer — because a resumed or
     // failed unit has no bundle in memory.
-    using TraceKey = std::tuple<sim::AppId, memsys::MemoryConfig, bool>;
     std::vector<TraceKey> seen;
     for (size_t u = 0; u < units_.size(); ++u) {
         const Unit &unit = units_[u];
         const UnitResult &res = results_[u];
 
-        TraceKey key{unit.app, unit.mem, unit.small};
+        TraceKey key = keyOf(unit);
         bool first_use =
             std::find(seen.begin(), seen.end(), key) == seen.end();
         bool have_trace =

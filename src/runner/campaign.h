@@ -1,9 +1,11 @@
 #ifndef DSMEM_RUNNER_CAMPAIGN_H
 #define DSMEM_RUNNER_CAMPAIGN_H
 
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "runner/journal.h"
@@ -195,9 +197,13 @@ class Campaign
                            const std::string &message, bool fatal);
 
     /**
-     * Coordinator fallback: execute one pending cell in-process
-     * (phase 1 through the shared cache, phase 2 with the normal
-     * retry/journal path). Returns true when the row is done.
+     * Execute one cell in-process: phase 1 and phase 2 through the
+     * same retry/backoff, live-point and sampled-vs-exact path run()
+     * uses, so a transient fault recovers here exactly as it does in
+     * the pool. The service's workers run every ASSIGN through this,
+     * and the coordinator calls it when every worker slot retired.
+     * Returns true when the row is done; a false return leaves the
+     * cell's fatal UnitError last in result(unit).errors.
      */
     bool runCellInline(size_t unit, size_t spec);
 
@@ -250,6 +256,33 @@ class Campaign
         std::vector<sim::ModelSpec> specs;
     };
 
+    /** Units sharing one TraceKey share one phase-1 trace. */
+    using TraceKey = std::tuple<sim::AppId, memsys::MemoryConfig, bool>;
+    static TraceKey keyOf(const Unit &u) { return {u.app, u.mem, u.small}; }
+
+    /** What phase 1 resolved for one trace key. */
+    struct TraceHit {
+        const sim::ViewBundle *bundle = nullptr;
+        std::shared_ptr<const sim::LivePointSet> lp; ///< Sampled runs only.
+        sim::TraceOrigin origin = sim::TraceOrigin::GENERATED;
+        sim::TraceTiming timing;
+        double wall_ms = 0.0; ///< The successful attempt's getView cost.
+    };
+
+    /**
+     * Phase 1 for @p units (all one trace key): the view bundle
+     * (memory -> disk -> generate) plus, when @p want_points, its live
+     * points. Transient faults retry with backoff(); a permanent
+     * fault, exhausted retries or the watchdog record a fatal error
+     * (labelled @p spec) against every unit and return false. A
+     * recovered fault is noted, non-fatal, on the first unit.
+     */
+    bool resolveTrace(const std::vector<size_t> &units,
+                      const std::string &spec, bool want_points,
+                      TraceHit &hit);
+    /** Stamp @p hit as unit @p u's trace provenance and journal it. */
+    void adoptTrace(size_t u, const TraceHit &hit);
+
     void fillSink();
     void replayJournal();
     /**
@@ -267,10 +300,11 @@ class Campaign
      * The live points for (unit's trace key, the campaign's sampling
      * plan): loaded from the store's .dslp cache when a valid file
      * exists, otherwise computed with one functional-warming pass
-     * over @p view and persisted for the next sweep. Called from the
-     * trace's phase-1 job, so the warm pass runs once per trace and
-     * is shared by every phase-2 group. Throws util::IoError on a
-     * transient store fault (the phase-1 retry loop handles it).
+     * over @p view and persisted for the next sweep. Memoized per
+     * trace key, so the warm pass (or .dslp read) runs once per trace
+     * however many cells — pooled groups or inline cells — use it.
+     * Throws util::IoError on a transient store fault (the phase-1
+     * retry loop handles it).
      */
     std::shared_ptr<const sim::LivePointSet>
     resolveLivePoints(const Unit &unit, const trace::TraceView &view);
@@ -297,6 +331,9 @@ class Campaign
     StoreGcStats store_gc_stats_;
     std::vector<UnitError> campaign_errors_; ///< Not tied to a unit.
     mutable std::mutex err_mu_; ///< Guards errors/failed across jobs.
+    std::map<TraceKey, std::shared_ptr<const sim::LivePointSet>>
+        live_points_;
+    std::mutex lp_mu_; ///< Guards live_points_ across phase-1 jobs.
 };
 
 } // namespace dsmem::runner

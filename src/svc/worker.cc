@@ -1,3 +1,17 @@
+/**
+ * @file
+ * One `dsmem_svc worker` process: a thin adapter between the wire
+ * protocol and runner::Campaign. The WELCOME's declaration set becomes
+ * a journal-less Campaign (its signature checked against the one the
+ * coordinator sent), and every ASSIGN runs through
+ * Campaign::runCellInline — the same phase-1 retry/backoff, live-point
+ * content gate and sampled-vs-exact dispatch the in-process pool and
+ * the coordinator's inline fallback use. The worker holds no dispatch
+ * policy of its own; it only copies each cell's row, sampling
+ * summary, wall time, first-seen trace provenance and fatal error
+ * into a RESULT.
+ */
+
 #include "svc/worker.h"
 
 #include <atomic>
@@ -5,7 +19,6 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -14,48 +27,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "runner/trace_store.h"
-#include "sim/app_registry.h"
-#include "sim/sampling.h"
-#include "sim/trace_bundle.h"
+#include "runner/campaign.h"
 #include "svc/protocol.h"
-#include "util/byte_io.h"
-#include "util/errors.h"
 #include "util/failpoint.h"
 #include "util/sysinfo.h"
 
 namespace dsmem::svc {
 
 namespace {
-
-double
-elapsedMs(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-/**
- * The campaign's deterministic capped-exponential backoff, replicated
- * bit-for-bit (same salt scheme) so a worker's retry schedule matches
- * what the in-process pool would have done for the same cell.
- */
-void
-backoffSleep(const std::string &salt, unsigned attempt,
-             uint32_t base_ms, uint32_t cap_ms)
-{
-    uint64_t ms = base_ms;
-    for (unsigned i = 1; i < attempt && ms < cap_ms; ++i)
-        ms *= 2;
-    ms = std::min<uint64_t>(ms, cap_ms);
-    uint64_t h =
-        util::fnv1aUpdate(util::kFnvOffset, salt.data(), salt.size());
-    h = util::fnv1aUpdate(h, &attempt, sizeof attempt);
-    ms += h % (base_ms > 0 ? base_ms : 1);
-    if (ms > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
 
 int
 connectCoordinator(const std::string &path, std::string *err)
@@ -96,161 +75,74 @@ connectCoordinator(const std::string &path, std::string *err)
     return -1;
 }
 
-/** All state one connected worker needs across cells. */
-struct WorkerState {
-    WelcomeMsg cfg;
-    std::unique_ptr<runner::TraceStore> store;
-    std::unique_ptr<sim::TraceCache> cache;
-    /** Live points per unit (one trace key per unit). */
-    std::map<uint32_t, std::shared_ptr<const sim::LivePointSet>> lps;
-    /** Units whose trace provenance was already reported. */
-    std::map<uint32_t, bool> trace_sent;
-};
-
 /**
- * Live points for @p unit's trace: the store's .dslp cache when it
- * matches this trace's content, else one functional-warming pass,
- * persisted for the next user. Same content gates as the campaign's
- * resolveLivePoints, so every process derives identical points.
+ * The WELCOME's declaration set as a journal-less campaign: same
+ * bench name, units and sampling plan as the coordinator's, so its
+ * signature must match the one the WELCOME carries.
  */
-std::shared_ptr<const sim::LivePointSet>
-resolveLivePoints(WorkerState &st, uint32_t unit,
-                  const trace::TraceView &view)
+std::unique_ptr<runner::Campaign>
+buildCampaign(const WelcomeMsg &w)
 {
-    auto it = st.lps.find(unit);
-    if (it != st.lps.end())
-        return it->second;
-    const UnitDecl &u = st.cfg.units[unit];
-    const sim::AppId app = static_cast<sim::AppId>(u.app);
-    std::shared_ptr<const sim::LivePointSet> lp;
-    if (auto cached = st.store->loadLivePoints(app, u.mem, u.small != 0,
-                                               st.cfg.plan)) {
-        if (cached->instructions == view.size() &&
-            cached->offset ==
-                st.cfg.plan.offsetFor(view.name(), view.size()))
-            lp = std::make_shared<const sim::LivePointSet>(
-                std::move(*cached));
-    }
-    if (!lp) {
-        auto fresh = std::make_shared<sim::LivePointSet>(
-            sim::computeLivePoints(view, st.cfg.plan));
-        st.store->storeLivePoints(app, u.mem, u.small != 0,
-                                  st.cfg.plan, *fresh);
-        lp = fresh;
-    }
-    st.lps.emplace(unit, lp);
-    return lp;
+    runner::RunnerOptions ro;
+    ro.trace_dir = w.trace_dir;
+    ro.max_attempts = w.max_attempts;
+    ro.backoff_base_ms = w.backoff_base_ms;
+    ro.backoff_cap_ms = w.backoff_cap_ms;
+    ro.sampling = w.plan;
+    ro.stream_exec = static_cast<sim::StreamExec>(w.stream_exec);
+    auto campaign = std::make_unique<runner::Campaign>(w.bench, ro);
+    for (const UnitDecl &u : w.units)
+        campaign->add(static_cast<sim::AppId>(u.app), u.specs, u.mem,
+                      u.small != 0);
+    return campaign;
 }
 
-/** Execute one assigned cell; never throws. */
+/**
+ * Execute one assigned cell through Campaign::runCellInline and copy
+ * its outcome into a RESULT; never throws. @p trace_sent marks units
+ * whose trace provenance was already reported.
+ */
 ResultMsg
-runCell(WorkerState &st, const AssignMsg &a)
+runCell(runner::Campaign &campaign, std::vector<uint8_t> &trace_sent,
+        const AssignMsg &a)
 {
     ResultMsg out;
     out.unit = a.unit;
     out.spec = a.spec;
     out.seq = a.seq;
-    if (a.unit >= st.cfg.units.size() ||
-        a.spec >= st.cfg.units[a.unit].specs.size()) {
+    if (a.unit >= campaign.size() ||
+        a.spec >= campaign.unitSpecs(a.unit).size()) {
         out.ok = 0;
         out.error = "assign out of range";
         return out;
     }
-    const UnitDecl &u = st.cfg.units[a.unit];
-    const sim::AppId app = static_cast<sim::AppId>(u.app);
-    const sim::ModelSpec &spec = u.specs[a.spec];
-
-    // Phase 1: trace through the shared on-disk store. Transient
-    // faults retry with the campaign's backoff; anything else is a
-    // permanent cell failure the coordinator records (not re-led).
-    const sim::ViewBundle *vb = nullptr;
-    std::shared_ptr<const sim::LivePointSet> lp;
-    const std::string salt1 =
-        "phase1:" + std::string(sim::appName(app));
-    for (unsigned attempt = 1;; ++attempt) {
-        try {
-            sim::TraceOrigin origin;
-            sim::TraceTiming timing;
-            auto start = std::chrono::steady_clock::now();
-            const sim::ViewBundle &bundle = st.cache->getView(
-                app, u.mem, u.small != 0, &origin, &timing);
-            if (st.cfg.plan.enabled() &&
-                spec.kind == sim::ModelSpec::Kind::DS)
-                lp = resolveLivePoints(st, a.unit,
-                                       *bundle.flatView());
-            double wall = elapsedMs(start);
-            vb = &bundle;
-            if (!st.trace_sent[a.unit]) {
-                st.trace_sent[a.unit] = true;
-                out.has_trace = 1;
-                out.trace_origin =
-                    std::string(sim::traceOriginName(origin));
-                out.trace_instructions = bundle.stats.instructions;
-                out.trace_wall_ms = wall;
-                out.gen_ms = timing.gen_ms;
-                out.load_ms = timing.load_ms;
-            }
-            break;
-        } catch (const util::IoError &e) {
-            if (attempt < st.cfg.max_attempts) {
-                backoffSleep(salt1, attempt, st.cfg.backoff_base_ms,
-                             st.cfg.backoff_cap_ms);
-                continue;
-            }
-            out.ok = 0;
-            out.error = std::string("phase1: ") + e.what();
-            return out;
-        } catch (const std::exception &e) {
-            out.ok = 0;
-            out.error = std::string("phase1: ") + e.what();
-            return out;
-        }
+    const runner::UnitResult &res = campaign.result(a.unit);
+    if (campaign.runCellInline(a.unit, a.spec)) {
+        out.result = res.rows[a.spec].result;
+        out.sampling = res.row_sampling[a.spec];
+        out.wall_ms = res.row_wall_ms[a.spec];
+    } else {
+        // Permanent (retries already ran here): the coordinator records
+        // it and does not re-dispatch the cell.
+        const runner::UnitError &e = res.errors.back();
+        out.ok = 0;
+        out.error = e.site + ": " + e.message;
     }
-
-    // Phase 2: one singleton group, identical to the in-process
-    // pool's execution of the same cell (deterministic results).
-    thread_local core::SimContext sim_ctx;
-    sim::ExecGroup group;
-    group.rows.push_back(a.spec);
-    const std::string salt2 = "phase2:" +
-                              std::string(sim::appName(app)) + ":" +
-                              spec.label();
-    const bool sampled = st.cfg.plan.enabled() && lp != nullptr;
-    for (unsigned attempt = 1;; ++attempt) {
-        auto t0 = std::chrono::steady_clock::now();
-        try {
-            util::failpoint("campaign.phase2");
-            if (sampled) {
-                std::vector<sim::SampledCell> cells =
-                    sim::runGroupSampled(*vb->flatView(), u.specs,
-                                         group, st.cfg.plan, *lp,
-                                         sim_ctx);
-                out.result = cells.front().result;
-                out.sampling = cells.front().sampling;
-            } else {
-                out.result =
-                    sim::runGroup(*vb, u.specs, group, sim_ctx)
-                        .front();
-            }
-            out.wall_ms = elapsedMs(t0);
-            out.peak_rss_bytes = util::peakRssBytes();
-            out.view_bytes_resident = vb->traceBytesResident();
-            return out;
-        } catch (const util::IoError &e) {
-            if (attempt < st.cfg.max_attempts) {
-                backoffSleep(salt2, attempt, st.cfg.backoff_base_ms,
-                             st.cfg.backoff_cap_ms);
-                continue;
-            }
-            out.ok = 0;
-            out.error = std::string("phase2: ") + e.what();
-            return out;
-        } catch (const std::exception &e) {
-            out.ok = 0;
-            out.error = std::string("phase2: ") + e.what();
-            return out;
+    if (res.bundle != nullptr) {
+        if (!trace_sent[a.unit]) {
+            trace_sent[a.unit] = 1;
+            out.has_trace = 1;
+            out.trace_origin =
+                std::string(sim::traceOriginName(res.origin));
+            out.trace_instructions = res.bundle->stats.instructions;
+            out.trace_wall_ms = res.trace_wall_ms;
+            out.gen_ms = res.trace_timing.gen_ms;
+            out.load_ms = res.trace_timing.load_ms;
         }
+        out.view_bytes_resident = res.bundle->traceBytesResident();
     }
+    out.peak_rss_bytes = util::peakRssBytes();
+    return out;
 }
 
 } // namespace
@@ -295,20 +187,36 @@ workerMain(const WorkerOptions &opts)
         ::close(fd);
         return 1;
     }
-    WorkerState st;
-    if (!decodeWelcome(frame.payload, st.cfg)) {
+    WelcomeMsg cfg;
+    if (!decodeWelcome(frame.payload, cfg)) {
         std::fprintf(stderr,
                      "dsmem_svc worker %u: malformed welcome\n",
                      opts.id);
         ::close(fd);
         return 1;
     }
-    st.store =
-        std::make_unique<runner::TraceStore>(st.cfg.trace_dir);
-    st.store->setStreamExec(
-        static_cast<sim::StreamExec>(st.cfg.stream_exec));
-    st.cache = std::make_unique<sim::TraceCache>(
-        st.store->enabled() ? st.store.get() : nullptr);
+    // A worker whose declaration set hashes differently would compute
+    // some other campaign's cells; refuse before running any.
+    std::unique_ptr<runner::Campaign> campaign = buildCampaign(cfg);
+    if (campaign->signature() != cfg.signature) {
+        std::fprintf(stderr,
+                     "dsmem_svc worker %u: campaign signature mismatch "
+                     "(welcome %016llx, declared units %016llx); "
+                     "refusing to run cells\n",
+                     opts.id,
+                     static_cast<unsigned long long>(cfg.signature),
+                     static_cast<unsigned long long>(
+                         campaign->signature()));
+        ::close(fd);
+        return 1;
+    }
+    if (!campaign->prepare()) {
+        std::fprintf(stderr, "dsmem_svc worker %u: %s", opts.id,
+                     campaign->failureSummary().c_str());
+        ::close(fd);
+        return 1;
+    }
+    std::vector<uint8_t> trace_sent(campaign->size(), 0);
 
     // Heartbeat thread: renews the coordinator's lease while a long
     // phase-1 generation or phase-2 run keeps the main loop busy.
@@ -319,7 +227,7 @@ workerMain(const WorkerOptions &opts)
         uint64_t beats = 0;
         const auto period =
             std::chrono::milliseconds(std::max<uint32_t>(
-                st.cfg.heartbeat_ms, 1));
+                cfg.heartbeat_ms, 1));
         std::unique_lock<std::mutex> lock(hb_mu);
         while (!stop.load()) {
             if (hb_cv.wait_for(lock, period,
@@ -361,7 +269,7 @@ workerMain(const WorkerOptions &opts)
                          opts.id);
             break;
         }
-        ResultMsg result = runCell(st, assign);
+        ResultMsg result = runCell(*campaign, trace_sent, assign);
         if (!send(MsgType::RESULT, encodeResult(result), &err)) {
             std::fprintf(stderr, "dsmem_svc worker %u: result: %s\n",
                          opts.id, err.c_str());

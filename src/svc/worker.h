@@ -17,11 +17,15 @@ struct WorkerOptions {
  * declaration (WELCOME), then loop running ASSIGNed cells and
  * reporting RESULTs while a background thread heartbeats the lease.
  *
- * The worker is deliberately stateless between cells: every phase-2
- * result is computed from the immutable trace view alone, so the
- * coordinator may kill, respawn, or re-assign at any moment and the
- * recomputed bits are identical. Returns the process exit code
- * (0 = orderly SHUTDOWN, 1 = connection lost / protocol error).
+ * Cells execute through runner::Campaign::runCellInline on a
+ * journal-less Campaign built from the WELCOME; a WELCOME whose
+ * signature does not match its own declaration set is refused before
+ * any cell runs. Across cells the worker keeps only caches (trace
+ * bundles, live points): every phase-2 result is computed from the
+ * immutable trace view alone, so the coordinator may kill, respawn,
+ * or re-assign at any moment and the recomputed bits are identical.
+ * Returns the process exit code (0 = orderly SHUTDOWN, 1 = connection
+ * lost, protocol error or signature mismatch).
  */
 int workerMain(const WorkerOptions &opts);
 

@@ -7,14 +7,17 @@
  */
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include "svc/catalog.h"
 #include "svc/coordinator.h"
 #include "svc/protocol.h"
+#include "svc/worker.h"
 #include "util/byte_io.h"
 #include "util/failpoint.h"
 
@@ -409,40 +413,56 @@ TEST_F(SvcTest, CoordinatorMatchesInProcessRunByteForByte)
         GTEST_SKIP() << "dsmem_svc binary unavailable";
     TempDir tmp("e2e");
 
-    // Reference: the normal in-process pool.
-    std::string ref_json = tmp.sub("ref.json").string();
-    {
-        runner::Campaign campaign(benchNameFor("smoke"),
-                                  smokeOptions(tmp.str()));
-        declareSmoke(campaign);
-        campaign.run();
-        ASSERT_TRUE(campaign.ok());
-        ASSERT_TRUE(campaign.writeJson(ref_json));
-    }
+    // Exact rows at 1/2/4 workers, then the same campaign under a
+    // small sampling plan (the sampling-smoke parameters) so the
+    // workers' live-point and sampled dispatch path is compared too.
+    sim::SamplingPlan sampled;
+    sampled.period = 4000;
+    sampled.detailed = 400;
+    sampled.warmup = 1200;
+    struct Leg {
+        sim::SamplingPlan plan;
+        std::vector<unsigned> workers;
+    };
+    for (const Leg &leg : {Leg{{}, {1u, 2u, 4u}}, Leg{sampled, {2u}}}) {
+        const std::string tag = leg.plan.enabled() ? "s" : "e";
+        auto options = [&](const std::string &journal) {
+            runner::RunnerOptions ro = smokeOptions(tmp.str(), journal);
+            ro.sampling = leg.plan;
+            return ro;
+        };
 
-    for (unsigned workers : {1u, 2u, 4u}) {
-        runner::Campaign campaign(
-            benchNameFor("smoke"),
-            smokeOptions(tmp.str(),
-                         tmp.sub("j" + std::to_string(workers) +
-                                 ".jsonl")
-                             .string()));
-        declareSmoke(campaign);
-        ServiceOptions so;
-        so.workers = workers;
-        so.worker_exe = DSMEM_SVC_BIN;
-        so.print_workers = false;
-        Coordinator coordinator(campaign, so);
-        ASSERT_EQ(coordinator.run(), 0);
-        EXPECT_TRUE(campaign.ok());
-        std::string json =
-            tmp.sub("w" + std::to_string(workers) + ".json")
-                .string();
-        ASSERT_TRUE(campaign.writeJson(json));
-        EXPECT_EQ(slurp(json), slurp(ref_json))
-            << "workers=" << workers;
-        EXPECT_EQ(coordinator.stats().results, 8u);
-        EXPECT_EQ(coordinator.stats().mismatches, 0u);
+        // Reference: the normal in-process pool.
+        std::string ref_json = tmp.sub(tag + "ref.json").string();
+        {
+            runner::Campaign campaign(benchNameFor("smoke"), options(""));
+            declareSmoke(campaign);
+            campaign.run();
+            ASSERT_TRUE(campaign.ok());
+            ASSERT_TRUE(campaign.writeJson(ref_json));
+        }
+        EXPECT_EQ(slurp(ref_json).find("\"ci95\"") != std::string::npos,
+                  leg.plan.enabled());
+
+        for (unsigned workers : leg.workers) {
+            const std::string w = tag + std::to_string(workers);
+            runner::Campaign campaign(
+                benchNameFor("smoke"),
+                options(tmp.sub("j" + w + ".jsonl").string()));
+            declareSmoke(campaign);
+            ServiceOptions so;
+            so.workers = workers;
+            so.worker_exe = DSMEM_SVC_BIN;
+            so.print_workers = false;
+            Coordinator coordinator(campaign, so);
+            ASSERT_EQ(coordinator.run(), 0);
+            EXPECT_TRUE(campaign.ok());
+            std::string json = tmp.sub("w" + w + ".json").string();
+            ASSERT_TRUE(campaign.writeJson(json));
+            EXPECT_EQ(slurp(json), slurp(ref_json)) << "leg " << w;
+            EXPECT_EQ(coordinator.stats().results, 8u);
+            EXPECT_EQ(coordinator.stats().mismatches, 0u);
+        }
     }
 }
 
@@ -506,6 +526,152 @@ TEST_F(SvcTest, DeadPoolDegradesToInlineExecution)
     EXPECT_TRUE(campaign.ok());
     EXPECT_EQ(coordinator.stats().inline_cells, 8u);
     EXPECT_EQ(coordinator.stats().results, 0u);
+}
+
+TEST_F(SvcTest, InlineFallbackRetriesTransientPhase1Fault)
+{
+    // The fallback runs a cell through the campaign's own phase-1
+    // path, so a transient generation fault recovers on retry exactly
+    // as it does in the pool and in a worker, instead of failing the
+    // cell outright.
+    util::armFailpoint(util::FailpointSpec{
+        "bundle.generate", util::FailpointMode::THROW, 0, 1, true});
+    runner::Campaign campaign(benchNameFor("smoke"), smokeOptions(""));
+    declareSmoke(campaign);
+    ASSERT_TRUE(campaign.prepare());
+    ASSERT_TRUE(campaign.runCellInline(0, 0));
+    const runner::UnitResult &res = campaign.result(0);
+    EXPECT_EQ(res.row_done[0], 1);
+    EXPECT_FALSE(res.failed);
+    ASSERT_EQ(res.errors.size(), 1u);
+    EXPECT_EQ(res.errors[0].site, "phase1");
+    EXPECT_FALSE(res.errors[0].fatal);
+    EXPECT_EQ(res.errors[0].attempts, 2);
+    EXPECT_NE(res.errors[0].message.find("recovered after retry"),
+              std::string::npos);
+}
+
+/** Stands in for the coordinator: one listening socket, one worker
+ *  thread running workerMain against it. */
+class FakeCoordinator
+{
+  public:
+    explicit FakeCoordinator(const std::string &path) : path_(path)
+    {
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+        ::unlink(path.c_str());
+        listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
+                   sizeof(addr)) != 0 ||
+            ::listen(listen_fd_, 1) != 0) {
+            ::close(listen_fd_);
+            listen_fd_ = -1;
+        }
+    }
+    ~FakeCoordinator()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+        if (listen_fd_ >= 0)
+            ::close(listen_fd_);
+        ::unlink(path_.c_str());
+    }
+
+    /** Start the worker, take its HELLO, send @p welcome. */
+    bool start(const WelcomeMsg &welcome)
+    {
+        if (listen_fd_ < 0)
+            return false;
+        exit_code_ = std::async(std::launch::async, [this] {
+            return workerMain(WorkerOptions{path_, 7});
+        });
+        fd_ = ::accept(listen_fd_, nullptr, nullptr);
+        Frame hello;
+        return fd_ >= 0 && recv(hello) &&
+               hello.type == MsgType::HELLO &&
+               send(MsgType::WELCOME, encodeWelcome(welcome));
+    }
+    bool send(MsgType type, const std::string &payload)
+    {
+        std::string err;
+        return sendFrame(fd_, "svc.coord.send", type, payload, &err);
+    }
+    bool recv(Frame &out)
+    {
+        std::string err;
+        return recvFrame(fd_, "svc.coord.recv", out, &err);
+    }
+    /** Hang up (a worker still waiting for frames sees EOF), then
+     *  collect workerMain's return value. */
+    int exitCode()
+    {
+        ::close(fd_);
+        fd_ = -1;
+        return exit_code_.get();
+    }
+
+  private:
+    std::string path_;
+    int listen_fd_ = -1;
+    int fd_ = -1;
+    std::future<int> exit_code_;
+};
+
+TEST_F(SvcTest, WorkerRefusesWelcomeWithForeignSignature)
+{
+    TempDir tmp("sig");
+    runner::Campaign reference(benchNameFor("smoke"), smokeOptions(""));
+    declareSmoke(reference);
+    ASSERT_TRUE(reference.prepare());
+    ASSERT_TRUE(reference.runCellInline(0, 0));
+
+    WelcomeMsg welcome;
+    welcome.bench = reference.benchName();
+    welcome.trace_dir = "";
+    welcome.signature = reference.signature();
+    welcome.heartbeat_ms = 60000; // Keep heartbeats off the wire.
+    for (size_t u = 0; u < reference.size(); ++u) {
+        UnitDecl decl;
+        decl.app = static_cast<uint32_t>(reference.unitApp(u));
+        decl.mem = reference.unitMem(u);
+        decl.small = reference.unitSmall(u) ? 1 : 0;
+        decl.specs = reference.unitSpecs(u);
+        welcome.units.push_back(std::move(decl));
+    }
+    AssignMsg assign;
+    assign.seq = 1; // Cell (0, 0).
+
+    // Control: the genuine signature runs the cell bit-identically.
+    {
+        FakeCoordinator coord(tmp.sub("ok.sock").string());
+        ASSERT_TRUE(coord.start(welcome));
+        ASSERT_TRUE(coord.send(MsgType::ASSIGN, encodeAssign(assign)));
+        Frame f;
+        ASSERT_TRUE(coord.recv(f));
+        ASSERT_EQ(f.type, MsgType::RESULT);
+        ResultMsg result;
+        ASSERT_TRUE(decodeResult(f.payload, result));
+        EXPECT_EQ(result.ok, 1);
+        EXPECT_TRUE(result.result == reference.result(0).rows[0].result);
+        EXPECT_EQ(result.has_trace, 1);
+        ASSERT_TRUE(coord.send(MsgType::SHUTDOWN, ""));
+        EXPECT_EQ(coord.exitCode(), 0);
+    }
+
+    // A tampered signature: the worker exits non-zero and the ASSIGN
+    // already queued behind the WELCOME never produces a RESULT.
+    {
+        FakeCoordinator coord(tmp.sub("bad.sock").string());
+        WelcomeMsg tampered = welcome;
+        tampered.signature ^= 1;
+        ASSERT_TRUE(coord.start(tampered));
+        coord.send(MsgType::ASSIGN, encodeAssign(assign));
+        Frame f;
+        EXPECT_FALSE(coord.recv(f)) << "worker answered a frame";
+        EXPECT_EQ(coord.exitCode(), 1);
+    }
 }
 
 TEST_F(SvcTest, DuplicateRemoteRowIsAbsorbedMismatchIsNot)
